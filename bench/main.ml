@@ -83,6 +83,28 @@ let bench_xtea =
     (Bechamel.Staged.stage (fun () ->
          ignore (Toycrypto.Xtea.encrypt_cbc key ~iv:42L buf)))
 
+(* The bank-wire layer end to end, on the message an audit round is
+   made of: a 10-cell sparse credit report. *)
+let audit_reply_10 =
+  Zmail.Wire.Audit_reply
+    { isp = 17; seq = 42; credit = Array.init 10 (fun k -> ((k * 97) + 3, (k * 13) - 40)) }
+
+let bench_wire_codec =
+  Bechamel.Test.make ~name:"wire: encode+decode"
+    (Bechamel.Staged.stage (fun () ->
+         match Zmail.Wire.decode (Zmail.Wire.encode audit_reply_10) with
+         | Ok p -> ignore (Sys.opaque_identity p)
+         | Error _ -> assert false))
+
+let bench_wire_seal =
+  let rng = Sim.Rng.create 11 in
+  let pk, sk = Toycrypto.Rsa.generate rng in
+  Bechamel.Test.make ~name:"wire: seal_for_bank+open_at_bank"
+    (Bechamel.Staged.stage (fun () ->
+         match Zmail.Wire.open_at_bank sk (Zmail.Wire.seal_for_bank rng pk audit_reply_10) with
+         | Some p -> ignore (Sys.opaque_identity p)
+         | None -> assert false))
+
 let bench_nonce =
   let g = Toycrypto.Nonce.create (Sim.Rng.create 1) in
   Bechamel.Test.make ~name:"crypto: NNC nonce"
@@ -156,6 +178,8 @@ let micro_tests =
     bench_sign;
     bench_siphash;
     bench_xtea;
+    bench_wire_codec;
+    bench_wire_seal;
     bench_nonce;
     bench_smtp_codec;
     bench_smtp_session;

@@ -45,13 +45,22 @@ let reject_to_string = function
   | Wrong_state -> "wrong state for this message"
   | Wrong_direction -> "bank-origin payload from an ISP"
 
+(* The open round's membership is kept per ISP so that every reply,
+   retry probe and re-issue is O(1): [present.(i)] marks the round's
+   participants (compliant and not excluded) and [pending.(i)] those
+   whose first reply is still outstanding, [n_pending] of them.  The
+   round's request is signed once and shared: signing is
+   deterministic, so every copy is byte-equal anyway. *)
 type audit_state = {
   audit_seq : int;
-  mutable waiting : int list;
+  present : bool array;
+  pending : bool array;
+  mutable n_pending : int;
   absent : int list;  (* excluded at round start: unreachable, not guilty *)
   reported : (int * int) array array;
       (* per-ISP sparse rows as they came off the wire *)
   span : int;  (* trace span opened at start_audit *)
+  request : Wire.signed;
 }
 
 type t = {
@@ -117,6 +126,33 @@ let wal_replayed t = t.wal_replayed
 (* State capture                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh round: every compliant ISP not in [absent] is a member, and
+   every member is pending. *)
+let new_round t ~audit_seq ~absent ~span ~reported =
+  let n = t.config.n_isps in
+  let present = Array.copy t.config.compliant in
+  List.iter (fun i -> if i >= 0 && i < n then present.(i) <- false) absent;
+  let n_pending = Array.fold_left (fun k p -> if p then k + 1 else k) 0 present in
+  {
+    audit_seq;
+    present;
+    pending = Array.copy present;
+    n_pending;
+    absent;
+    reported;
+    span;
+    request = Wire.sign_by_bank t.secret (Wire.Audit_request { seq = audit_seq });
+  }
+
+(* The pending ISPs in ascending order: the snapshot and
+   [audit_waiting] form.  O(n) and allocating, so never polled. *)
+let pending_list a =
+  let acc = ref [] in
+  for i = Array.length a.pending - 1 downto 0 do
+    if a.pending.(i) then acc := i :: !acc
+  done;
+  !acc
+
 (* The keypair is not captured: it is derived deterministically from
    the creation RNG, so the world-rebuild that precedes a restore
    regenerates the identical keys.  The reply cache is sorted by
@@ -146,7 +182,7 @@ let encode_kernel w t =
   opt
     (fun w (a : audit_state) ->
       int w a.audit_seq;
-      list int w a.waiting;
+      list int w (pending_list a);
       list int w a.absent;
       array (array (pair int int)) w a.reported;
       int w a.span)
@@ -183,7 +219,7 @@ let restore_kernel r t =
   t.outstanding <- int r;
   t.seq <- int r;
   (* [audit_state] is rebuilt wholesale: nothing outside the bank holds
-     a reference to it (callers poll {!audit_waiting} instead). *)
+     a reference to it (callers poll {!awaits} instead). *)
   t.audit <-
     opt
       (fun r ->
@@ -194,7 +230,22 @@ let restore_kernel r t =
         let span = int r in
         if Array.length reported <> t.config.n_isps then
           corrupt r "Bank: audit matrix size mismatch";
-        { audit_seq; waiting; absent; reported; span })
+        let in_range i = i >= 0 && i < t.config.n_isps in
+        if not (List.for_all in_range waiting && List.for_all in_range absent) then
+          corrupt r "Bank: audit member out of range";
+        let audit = new_round t ~audit_seq ~absent ~span ~reported in
+        Array.fill audit.pending 0 t.config.n_isps false;
+        audit.n_pending <- 0;
+        List.iter
+          (fun i ->
+            if not audit.present.(i) then
+              corrupt r "Bank: waiting ISP is not a round member";
+            if not audit.pending.(i) then begin
+              audit.pending.(i) <- true;
+              audit.n_pending <- audit.n_pending + 1
+            end)
+          waiting;
+        audit)
       r;
   t.buys <- int r;
   t.buys_rejected <- int r;
@@ -399,10 +450,7 @@ let reply t payload =
    attribution convicts the ring while clearing the framed center. *)
 let finish_audit t (audit : audit_state) =
   let n = t.config.n_isps in
-  let present = Array.make n false in
-  for i = 0 to n - 1 do
-    present.(i) <- t.config.compliant.(i) && not (List.mem i audit.absent)
-  done;
+  let present = audit.present in
   let expected_cells =
     Array.fold_left (fun a row -> a + Array.length row) 0 audit.reported
     + Array.fold_left (fun a row -> a + Audit.Row.cardinal row) 0 t.carry
@@ -559,17 +607,18 @@ let on_payload t ~from_isp payload =
          reconciliation belongs to the carry matrix, not a late row. *)
       match t.audit with
       | Some audit
-        when audit.audit_seq = seq && isp = from_isp
-             && not (List.mem isp audit.absent) ->
-          let first = List.mem isp audit.waiting in
+        when audit.audit_seq = seq && isp = from_isp && audit.present.(isp) ->
+          let first = audit.pending.(isp) in
           audit.reported.(isp) <- credit;
-          if first then
-            audit.waiting <- List.filter (fun i -> i <> isp) audit.waiting;
+          if first then begin
+            audit.pending.(isp) <- false;
+            audit.n_pending <- audit.n_pending - 1
+          end;
           ev t "audit_reply"
             [ ("isp", Obs.Trace.Int isp);
               ("seq", Obs.Trace.Int seq);
               ("amended", Obs.Trace.Bool (not first)) ];
-          if audit.waiting = [] then finish_audit t audit else Audit_progress
+          if audit.n_pending = 0 then finish_audit t audit else Audit_progress
       | Some _ -> Rejected Wrong_state
       | None -> Rejected Wrong_state)
   | Wire.Buy_reply _ | Wire.Sell_reply _ | Wire.Audit_request _
@@ -613,14 +662,18 @@ let on_isp_message t ~from_isp sealed =
 
 let start_audit_exec ?(except = []) t =
   if t.audit <> None then invalid_arg "Bank.start_audit: audit already in progress";
-  let compliant_isps =
-    List.filter
-      (fun i -> t.config.compliant.(i))
-      (List.init t.config.n_isps (fun i -> i))
+  let n = t.config.n_isps in
+  let excluded = Array.make n false in
+  List.iter (fun i -> if i >= 0 && i < n then excluded.(i) <- true) except;
+  let absent = ref [] in
+  for i = n - 1 downto 0 do
+    if t.config.compliant.(i) && excluded.(i) then absent := i :: !absent
+  done;
+  let absent = !absent in
+  let audit =
+    new_round t ~audit_seq:t.seq ~absent ~span:0 ~reported:(Array.make n [||])
   in
-  let absent = List.filter (fun i -> List.mem i except) compliant_isps in
-  let waiting = List.filter (fun i -> not (List.mem i except)) compliant_isps in
-  if waiting = [] then
+  if audit.n_pending = 0 then
     invalid_arg "Bank.start_audit: every compliant ISP excluded";
   let span =
     Obs.Trace.span_begin t.tracer ~comp:"bank" "audit"
@@ -628,20 +681,9 @@ let start_audit_exec ?(except = []) t =
         [ ("seq", Obs.Trace.Int t.seq);
           ("absent", Obs.Trace.Int (List.length absent)) ]
   in
-  t.audit <-
-    Some
-      {
-        audit_seq = t.seq;
-        waiting;
-        absent;
-        reported = Array.make t.config.n_isps [||];
-        span;
-      };
-  List.map
-    (fun isp ->
-      t.messages_out <- t.messages_out + 1;
-      (isp, Wire.sign_by_bank t.secret (Wire.Audit_request { seq = t.seq })))
-    waiting
+  t.audit <- Some { audit with span };
+  t.messages_out <- t.messages_out + audit.n_pending;
+  List.map (fun isp -> (isp, audit.request)) (pending_list audit)
 
 let start_audit ?except t =
   let requests = start_audit_exec ?except t in
@@ -659,9 +701,9 @@ let audit_in_progress t = t.audit <> None
    epoch boundary. *)
 let resend_audit_request_exec t ~isp =
   match t.audit with
-  | Some audit when List.mem isp audit.waiting ->
+  | Some audit when isp >= 0 && isp < t.config.n_isps && audit.pending.(isp) ->
       t.messages_out <- t.messages_out + 1;
-      Some (Wire.sign_by_bank t.secret (Wire.Audit_request { seq = audit.audit_seq }))
+      Some audit.request
   | Some _ | None -> None
 
 let resend_audit_request t ~isp =
@@ -675,7 +717,16 @@ let resend_audit_request t ~isp =
 let audit_waiting t =
   match t.audit with
   | None -> None
-  | Some audit -> Some (audit.audit_seq, audit.waiting)
+  | Some audit -> Some (audit.audit_seq, pending_list audit)
+
+let audit_round t =
+  match t.audit with None -> None | Some audit -> Some audit.audit_seq
+
+let awaits t ~seq isp =
+  match t.audit with
+  | Some audit ->
+      audit.audit_seq = seq && isp >= 0 && isp < t.config.n_isps && audit.pending.(isp)
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Crash and WAL recovery                                              *)

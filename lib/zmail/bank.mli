@@ -145,9 +145,21 @@ val audit_in_progress : t -> bool
 
 val audit_waiting : t -> (int * int list) option
 (** [(seq, isps)] of the in-progress audit: its sequence number and
-    the ISPs whose reply is still outstanding.  [None] when no audit is
-    running — the predicate a retransmission layer polls to decide
-    whether an audit request or reply still needs resending. *)
+    the ISPs whose reply is still outstanding, ascending.  [None] when
+    no audit is running.  The list is built on each call — O(n ISPs)
+    time and allocation — so it suits one-off walks (re-driving a round
+    after a bank recovery); polling loops use {!awaits} or
+    {!audit_round}, which are O(1). *)
+
+val audit_round : t -> int option
+(** The in-progress audit's sequence number; [None] when no audit is
+    running.  O(1). *)
+
+val awaits : t -> seq:int -> int -> bool
+(** [awaits t ~seq isp]: round [seq] is in progress and [isp]'s reply
+    to it is still outstanding — the predicate a retransmission layer
+    polls to decide whether an audit request or reply still needs
+    resending.  O(1), allocation-free. *)
 
 val resend_audit_request : t -> isp:int -> Wire.signed option
 (** Re-issue the in-progress round's signed request iff [isp]'s reply

@@ -433,11 +433,7 @@ and bank_message_to_isp t i signed =
                    let reply = Isp.thaw kernel in
                    Log.debug (fun m ->
                        m "t=%.0f isp %d thawed, reporting" (Sim.Engine.now t.engine) i);
-                   let still () =
-                     match Bank.audit_waiting t.the_bank with
-                     | Some (s, waiting) -> s = seq && List.mem i waiting
-                     | None -> false
-                   in
+                   let still () = Bank.awaits t.the_bank ~seq i in
                    retry_loop t
                      ~send:(fun () ->
                        if t.up.(i) then
@@ -531,17 +527,13 @@ let start_audit_round t =
   else begin
     let requests = Bank.start_audit ~except:severed t.the_bank in
     let seq =
-      match Bank.audit_waiting t.the_bank with
-      | Some (seq, _) -> seq
+      match Bank.audit_round t.the_bank with
+      | Some seq -> seq
       | None -> assert false
     in
     List.iter
       (fun (i, signed) ->
-        let still () =
-          match Bank.audit_waiting t.the_bank with
-          | Some (s, waiting) -> s = seq && List.mem i waiting
-          | None -> false
-        in
+        let still () = Bank.awaits t.the_bank ~seq i in
         retry_loop t
           ~send:(fun () -> send_to_isp t i signed)
           ~still
@@ -1118,8 +1110,8 @@ let create cfg =
             (Some
                (fun ~seq reply ->
                  let still () =
-                   match Bank.audit_waiting t.the_bank with
-                   | Some (s, _) -> s = seq
+                   match Bank.audit_round t.the_bank with
+                   | Some s -> s = seq
                    | None -> false
                  in
                  still ()

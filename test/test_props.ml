@@ -239,6 +239,135 @@ let wire_tag_corruption_detected =
       | Ok decoded -> Zmail.Wire.equal_payload payload decoded = false
       | Error _ -> true)
 
+(* Differential laws against the reference text codec
+   ([Reference.Wire_text], the original Printf/split_on_char one).
+   The payload generator reaches every constructor and the extremes of
+   every field: negative cells and ids, [min_int]/[max_int], negative
+   and full-range [int64] nonces. *)
+let wire_int_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range (-1000) 1000); (2, int);
+        (1, oneofl [ min_int; max_int; 0; -1; min_int + 1; max_int - 1 ]) ])
+
+let wire_i64_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map Int64.of_int (int_range (-1000) 1000)); (3, ui64);
+        (1, oneofl
+              [ Int64.min_int; Int64.max_int; 0L; -1L;
+                Int64.of_int min_int; Int64.of_int max_int;
+                Int64.pred (Int64.of_int min_int); Int64.succ (Int64.of_int max_int) ]) ])
+
+(* [amount] decides whether amounts may be negative: such payloads
+   encode, but no decoder accepts them back. *)
+let wire_any_payload_gen ~amount =
+  QCheck.Gen.(
+    let i = wire_int_gen and n = wire_i64_gen in
+    oneof
+      [
+        map2 (fun amount nonce -> Zmail.Wire.Buy { amount; nonce }) amount n;
+        map2 (fun nonce accepted -> Zmail.Wire.Buy_reply { nonce; accepted }) n bool;
+        map2 (fun amount nonce -> Zmail.Wire.Sell { amount; nonce }) amount n;
+        map (fun nonce -> Zmail.Wire.Sell_reply { nonce }) n;
+        map (fun seq -> Zmail.Wire.Audit_request { seq }) i;
+        map3
+          (fun isp seq credit -> Zmail.Wire.Audit_reply { isp; seq; credit })
+          i i (array_size (int_range 0 12) (pair i i));
+        map3
+          (fun (from_bank, to_bank) amount xfer_id ->
+            Zmail.Wire.Transfer { from_bank; to_bank; amount; xfer_id })
+          (pair i i) amount i;
+        map (fun xfer_id -> Zmail.Wire.Transfer_ack { xfer_id }) i;
+      ])
+
+let wire_payload_print = Format.asprintf "%a" Zmail.Wire.pp_payload
+
+let wire_encode_matches_reference =
+  QCheck.Test.make ~name:"wire: encode equals the reference encoder" ~count:1000
+    (QCheck.make ~print:wire_payload_print (wire_any_payload_gen ~amount:wire_int_gen))
+    (fun p -> Zmail.Wire.encode p = Reference.Wire_text.encode p)
+
+let wire_round_trip_wide =
+  QCheck.Test.make ~name:"wire: decode (encode p) = Ok p on every payload kind"
+    ~count:1000
+    (QCheck.make ~print:wire_payload_print
+       (wire_any_payload_gen ~amount:QCheck.Gen.(map abs wire_int_gen)))
+    (fun p ->
+      (* [abs min_int] is [min_int]: skip that one negative amount. *)
+      match p with
+      | Zmail.Wire.(Buy { amount; _ } | Sell { amount; _ } | Transfer { amount; _ })
+        when amount < 0 -> QCheck.assume_fail ()
+      | _ -> (
+          match Zmail.Wire.decode (Zmail.Wire.encode p) with
+          | Ok p' -> Zmail.Wire.equal_payload p p'
+          | Error _ -> false))
+
+(* Strings near the wire language: a tag and (usually) its number of
+   fields, each drawn from canonical numbers and from the forms only
+   [int_of_string] accepts — leading zeros, signs, base prefixes,
+   underscores, out-of-range digits — joined mostly by single
+   spaces. *)
+let wire_near_miss_gen =
+  QCheck.Gen.(
+    let odd =
+      oneofl
+        [ "007"; "-0"; "+5"; "0x1f"; "0b11"; "0o7"; "0u9"; "1_000"; "_1"; ""; "-";
+          "--1"; "true"; "false"; "True"; "4611686018427387904";
+          "-4611686018427387904"; "-4611686018427387905"; "9223372036854775807";
+          "9223372036854775808"; "-9223372036854775808"; "-9223372036854775809";
+          "1:2,"; ",1:2"; "1:2:3"; "1::2"; "0x1:2"; "-5:-6"; "+1:2"; "1:2 3:4" ]
+    in
+    let number =
+      frequency
+        [ (4, map string_of_int wire_int_gen); (2, map Int64.to_string wire_i64_gen);
+          (1, oneofl [ "true"; "false" ]); (3, odd) ]
+    in
+    let cells =
+      frequency
+        [ (3, map
+                (fun l -> String.concat "," (List.map (fun (p, v) -> p ^ ":" ^ v) l))
+                (list_size (int_range 1 4) (pair number number)));
+          (1, return "-"); (1, number) ]
+    in
+    let arity =
+      oneofl
+        [ ("buy", 2); ("buyreply", 2); ("sell", 2); ("sellreply", 1); ("request", 1);
+          ("reply", 3); ("transfer", 4); ("transferack", 1); ("Buy", 2); ("", 1) ]
+    in
+    let sep = frequency [ (12, return " "); (1, return "  "); (1, return ",") ] in
+    arity >>= fun (tag, arity) ->
+    frequency [ (3, return arity); (1, int_range 0 5) ] >>= fun k ->
+    list_repeat k (pair sep number) >>= fun fields ->
+    (* A full-arity reply ends in a cell list. *)
+    (if tag = "reply" && k = arity then map Option.some cells else return None)
+    >|= fun last ->
+    let fields =
+      match (last, List.rev fields) with
+      | Some c, (sep, _) :: rest -> List.rev ((sep, c) :: rest)
+      | _ -> fields
+    in
+    String.concat "" (tag :: List.concat_map (fun (sep, f) -> [ sep; f ]) fields))
+
+let wire_decode_within_reference =
+  (* The scanner may refuse what [int_of_string] would take, never the
+     reverse, and on what it accepts it agrees with the reference. *)
+  QCheck.Test.make ~name:"wire: decode Ok implies the reference decodes the same"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [ (5, wire_near_miss_gen);
+             (2, map Zmail.Wire.encode (wire_any_payload_gen ~amount:wire_int_gen));
+             (1, string_size ~gen:char (int_range 0 40)) ]))
+    (fun s ->
+      match Zmail.Wire.decode s with
+      | Error _ -> true
+      | Ok p -> (
+          match Reference.Wire_text.decode s with
+          | Ok p' -> Zmail.Wire.equal_payload p p'
+          | Error _ -> false))
+
 let command_decode_total =
   QCheck.Test.make ~name:"smtp command decode: total on arbitrary strings"
     ~count:500 QCheck.string
@@ -399,6 +528,9 @@ let () =
           qtest wire_round_trip;
           qtest wire_byte_flip_never_raises;
           qtest wire_tag_corruption_detected;
+          qtest wire_encode_matches_reference;
+          qtest wire_round_trip_wide;
+          qtest wire_decode_within_reference;
         ] );
       ("seal", [ qtest seal_corruption_detected ]);
       ("engine", [ qtest engine_ordering ]);

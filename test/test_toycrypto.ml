@@ -112,6 +112,62 @@ let test_xtea_cbc_blocks_chained () =
     (Bytes.sub cipher 0 8 <> Bytes.sub cipher 8 8)
 
 (* ------------------------------------------------------------------ *)
+(* Differential laws against the reference implementations            *)
+(* ------------------------------------------------------------------ *)
+
+let key_gen = QCheck.Gen.(pair ui64 ui64)
+
+let siphash_matches_reference =
+  (* Every prefix of a random 300-byte message, so each case covers
+     every tail length (0-7) and every block count up to 37. *)
+  QCheck.Test.make ~name:"siphash equals the reference on lengths 0-300" ~count:60
+    (QCheck.make QCheck.Gen.(pair key_gen (string_size (return 300))))
+    (fun (key, msg) ->
+      let ok = ref true in
+      for len = 0 to 300 do
+        let prefix = String.sub msg 0 len in
+        let expected = Reference.Siphash.siphash ~key (Bytes.of_string prefix) in
+        if Toycrypto.Hash.siphash ~key (Bytes.of_string prefix) <> expected
+           || Toycrypto.Hash.siphash_string ~key prefix <> expected
+        then ok := false
+      done;
+      !ok)
+
+let xtea_case_gen =
+  QCheck.Gen.(
+    quad (quad ui64 ui64 ui64 ui64) ui64 (string_size (int_range 0 100)) ui64)
+
+let xtea_key (a, b, c, d) =
+  let word x = Int64.to_int x in
+  let k = Toycrypto.Xtea.key_of_words (word a) (word b) (word c) (word d) in
+  (k, Toycrypto.Xtea.key_words k)
+
+let xtea_cbc_matches_reference =
+  QCheck.Test.make ~name:"xtea cbc equals the reference" ~count:300
+    (QCheck.make xtea_case_gen)
+    (fun (words, iv, plain, _) ->
+      let k, rk = xtea_key words in
+      let plain = Bytes.of_string plain in
+      let cipher = Toycrypto.Xtea.encrypt_cbc k ~iv plain in
+      (* Garbage of the same length decrypts to whatever the reference
+         says — almost always a padding failure, occasionally bytes. *)
+      let garbage = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5a)) cipher in
+      let ragged = Bytes.sub cipher 0 (Bytes.length cipher - 1) in
+      Bytes.equal cipher (Reference.Xtea.encrypt_cbc rk ~iv plain)
+      && Toycrypto.Xtea.decrypt_cbc k ~iv cipher = Some plain
+      && List.for_all
+           (fun c -> Toycrypto.Xtea.decrypt_cbc k ~iv c = Reference.Xtea.decrypt_cbc rk ~iv c)
+           [ cipher; garbage; ragged; Bytes.empty ])
+
+let xtea_block_matches_reference =
+  QCheck.Test.make ~name:"xtea blocks equal the reference" ~count:300
+    (QCheck.make xtea_case_gen)
+    (fun (words, _, _, block) ->
+      let k, rk = xtea_key words in
+      Toycrypto.Xtea.encrypt_block k block = Reference.Xtea.encrypt_block rk block
+      && Toycrypto.Xtea.decrypt_block k block = Reference.Xtea.decrypt_block rk block)
+
+(* ------------------------------------------------------------------ *)
 (* RSA                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -277,7 +333,8 @@ let () =
           Alcotest.test_case "key sensitivity" `Quick test_siphash_key_sensitivity;
           Alcotest.test_case "message sensitivity" `Quick test_siphash_message_sensitivity;
           Alcotest.test_case "fnv1a64" `Quick test_fnv1a64;
-        ] );
+        ]
+        @ qcheck [ siphash_matches_reference ] );
       ( "xtea",
         [
           Alcotest.test_case "block roundtrip" `Quick test_xtea_roundtrip_block;
@@ -285,7 +342,8 @@ let () =
           Alcotest.test_case "cbc roundtrip" `Quick test_xtea_cbc_roundtrip;
           Alcotest.test_case "cbc wrong key" `Quick test_xtea_cbc_wrong_key;
           Alcotest.test_case "cbc chaining" `Quick test_xtea_cbc_blocks_chained;
-        ] );
+        ]
+        @ qcheck [ xtea_cbc_matches_reference; xtea_block_matches_reference ] );
       ( "rsa",
         Alcotest.test_case "mod_pow" `Quick test_mod_pow
         :: Alcotest.test_case "primality" `Quick test_primality

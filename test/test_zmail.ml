@@ -878,6 +878,143 @@ let test_bank_start_audit_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* The open round's pending set.  Five ISPs: 3 is non-compliant and 1
+   is excluded at round start, so the round's members are 0, 2 and 4.
+   The bank is built from its own seeded RNG so a second bank (or a
+   bare keypair) can be regenerated with identical keys. *)
+let pending_bank_seed = 77
+
+let pending_bank () =
+  let compliant = [| true; true; true; false; true |] in
+  Zmail.Bank.create (Sim.Rng.create pending_bank_seed)
+    (Zmail.Bank.default_config ~n_isps:5 ~compliant)
+
+let pending_round () =
+  let bank = pending_bank () in
+  let requests = Zmail.Bank.start_audit ~except:[ 1 ] bank in
+  let r = rng () in
+  let send ?(credit = [||]) isp =
+    Zmail.Bank.on_isp_message bank ~from_isp:isp
+      (Zmail.Wire.seal_for_bank r (Zmail.Bank.public_key bank)
+         (Zmail.Wire.Audit_reply { isp; seq = 0; credit }))
+  in
+  (bank, requests, send)
+
+let expect_progress what = function
+  | Zmail.Bank.Audit_progress -> ()
+  | _ -> Alcotest.failf "%s: expected Audit_progress" what
+
+let waiting bank =
+  match Zmail.Bank.audit_waiting bank with
+  | Some (_, isps) -> isps
+  | None -> Alcotest.fail "no round in progress"
+
+let test_bank_pending_counts_once () =
+  let bank, requests, send = pending_round () in
+  Alcotest.(check (list int)) "requests go to the members" [ 0; 2; 4 ]
+    (List.map fst requests);
+  expect_progress "first reply" (send 0);
+  (* A duplicate and an amended row replace 0's row but must not count
+     against the pending set again: with three members, a double
+     decrement here would close the round before 2 and 4 answer. *)
+  expect_progress "duplicate reply" (send 0);
+  expect_progress "amended reply" (send ~credit:[| (2, 1) |] 0);
+  Alcotest.(check (list int)) "still waiting on 2 and 4" [ 2; 4 ] (waiting bank);
+  expect_progress "second member" (send 2);
+  expect_progress "second member again" (send 2);
+  Alcotest.(check bool) "round open before the last member" true
+    (Zmail.Bank.audit_in_progress bank);
+  match send 4 with
+  | Zmail.Bank.Audit_complete result ->
+      Alcotest.(check (list int)) "absentee recorded" [ 1 ] result.Zmail.Bank.absent;
+      Alcotest.(check bool) "closed on the last distinct member" false
+        (Zmail.Bank.audit_in_progress bank)
+  | _ -> Alcotest.fail "the last distinct member's reply must close the round"
+
+let test_bank_pending_excludes_absent () =
+  let bank, _, send = pending_round () in
+  List.iter
+    (fun isp ->
+      Alcotest.(check bool)
+        (Printf.sprintf "isp %d never pending" isp)
+        false
+        (Zmail.Bank.awaits bank ~seq:0 isp))
+    [ 1; 3; -1; 5; 99 ];
+  List.iter
+    (fun isp ->
+      Alcotest.(check bool) (Printf.sprintf "member %d pending" isp) true
+        (Zmail.Bank.awaits bank ~seq:0 isp);
+      Alcotest.(check bool) "only for the open round" false
+        (Zmail.Bank.awaits bank ~seq:1 isp))
+    [ 0; 2; 4 ];
+  (* The absentee's reply cannot join the round late. *)
+  (match send 1 with
+  | Zmail.Bank.Rejected Zmail.Bank.Wrong_state -> ()
+  | _ -> Alcotest.fail "an absent ISP's reply must be rejected");
+  Alcotest.(check (list int)) "pending set untouched" [ 0; 2; 4 ] (waiting bank);
+  expect_progress "member 0" (send 0);
+  Alcotest.(check bool) "answered member no longer pending" false
+    (Zmail.Bank.awaits bank ~seq:0 0);
+  Alcotest.(check (option int)) "round sequence" (Some 0) (Zmail.Bank.audit_round bank)
+
+let test_bank_resend_only_pending () =
+  let bank, _, send = pending_round () in
+  let out () = (Zmail.Bank.stats bank).Zmail.Bank.messages_out in
+  let resent isp = Zmail.Bank.resend_audit_request bank ~isp <> None in
+  let before = out () in
+  Alcotest.(check bool) "pending member re-issued" true (resent 0);
+  Alcotest.(check int) "re-issue counted" (before + 1) (out ());
+  List.iter
+    (fun isp ->
+      Alcotest.(check bool) (Printf.sprintf "isp %d not re-issued" isp) false
+        (resent isp))
+    [ 1; 3; -1; 5 ];
+  expect_progress "member 0" (send 0);
+  Alcotest.(check bool) "answered member not re-issued" false (resent 0);
+  Alcotest.(check bool) "other member still re-issued" true (resent 2);
+  Alcotest.(check int) "only real re-issues counted" (before + 2) (out ());
+  expect_progress "member 2" (send 2);
+  ignore (send 4);
+  Alcotest.(check bool) "nothing re-issued after close" false
+    (List.exists resent [ 0; 1; 2; 3; 4 ])
+
+let test_bank_pending_snapshot_stable () =
+  let bank, _, send = pending_round () in
+  expect_progress "member 2" (send ~credit:[| (0, 3) |] 2);
+  let capture b = Persist.Codec.to_string Zmail.Bank.encode_state b in
+  let bytes = capture bank in
+  let restored = pending_bank () in
+  (match Persist.Codec.decode (fun r -> Zmail.Bank.restore_state r restored) bytes with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "capture/restore/capture is byte-identical" bytes
+    (capture restored);
+  Alcotest.(check (option (pair int (list int))))
+    "pending set restored" (Zmail.Bank.audit_waiting bank)
+    (Zmail.Bank.audit_waiting restored);
+  Alcotest.(check bool) "restored round still needs member 0" true
+    (Zmail.Bank.awaits restored ~seq:0 0)
+
+let test_bank_request_signed_once () =
+  let bank, requests, _ = pending_round () in
+  (* [Bank.create] draws its keypair first from its RNG, so the same
+     seed regenerates the bank's secret key. *)
+  let _, secret = Toycrypto.Rsa.generate (Sim.Rng.create pending_bank_seed) in
+  let expected = Zmail.Wire.sign_by_bank secret (Zmail.Wire.Audit_request { seq = 0 }) in
+  List.iter
+    (fun (isp, signed) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "request to %d equals a per-ISP signature" isp)
+        true (signed = expected))
+    requests;
+  match Zmail.Bank.resend_audit_request bank ~isp:4 with
+  | Some signed ->
+      Alcotest.(check bool) "re-issue equals it too" true (signed = expected);
+      Alcotest.(check bool) "and verifies under the bank key" true
+        (Zmail.Wire.verify_from_bank (Zmail.Bank.public_key bank) signed
+         = Some (Zmail.Wire.Audit_request { seq = 0 }))
+  | None -> Alcotest.fail "pending member must be re-issued"
+
 (* ------------------------------------------------------------------ *)
 (* Adversary                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1141,6 +1278,16 @@ let () =
             test_bank_quorum_carry_reconciles;
           Alcotest.test_case "start_audit validation" `Quick
             test_bank_start_audit_validation;
+          Alcotest.test_case "pending counts each member once" `Quick
+            test_bank_pending_counts_once;
+          Alcotest.test_case "pending excludes absent" `Quick
+            test_bank_pending_excludes_absent;
+          Alcotest.test_case "resend only pending" `Quick
+            test_bank_resend_only_pending;
+          Alcotest.test_case "pending snapshot stable" `Quick
+            test_bank_pending_snapshot_stable;
+          Alcotest.test_case "request signed once" `Quick
+            test_bank_request_signed_once;
         ] );
       ( "adversary",
         [
