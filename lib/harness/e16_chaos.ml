@@ -129,24 +129,9 @@ let run_scenario ~tracer ~persist ~seed sc =
         (Sim.Engine.schedule_after engine ~delay:at (fun () ->
              Zmail.World.crash_isp world ~isp ~downtime)))
     sc.crashes;
-  (try
-     Checkpoint.drive persist ~label:sc.label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     (* Drained: every paid message settled or was refunded, so the
-        checkers may also demand zero credits in flight. *)
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     (* Fail loudly with the ring-buffer context — the whole point of
-        tracing the chaos run — then let the failure propagate. *)
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E16: checker " ^ Obs.Invariant.name c ^ " never ran");
-      (* Scenarios share the tracer; a checker left attached would see
-         the next scenario's events against this scenario's model. *)
-      Obs.Invariant.detach c)
+  (* Scenarios share the tracer; the drain detaches the checkers so the
+     next scenario's events do not feed this scenario's models. *)
+  Cell.drain ~tag:"E16" persist ~label:sc.label ~world ~days:(days +. 0.5)
     checkers;
   let c = Zmail.World.counters world in
   let fault = Zmail.World.fault world in
@@ -160,26 +145,18 @@ let run_scenario ~tracer ~persist ~seed sc =
      are reported in their own column: the bank looks at both ends of
      the inconsistent pair and the next round clears them. *)
   let first_flagged =
-    List.find_map
-      (fun (time, r) ->
-        if List.mem 1 r.Zmail.Bank.convicted then Some time else None)
-      audits
+    Cell.first_round audits (fun r -> List.mem 1 r.Zmail.Bank.convicted)
   in
+  let count p l = List.length (List.filter p l) in
   let false_convictions =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc + List.length (List.filter (fun s -> s <> 1) r.Zmail.Bank.convicted))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        count (fun s -> s <> 1) r.Zmail.Bank.convicted)
   in
   let implicated =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.length
-            (List.filter
-               (fun s -> not (List.mem s r.Zmail.Bank.convicted))
-               r.Zmail.Bank.suspects))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        count
+          (fun s -> not (List.mem s r.Zmail.Bank.convicted))
+          r.Zmail.Bank.suspects)
   in
   ( {
     attempts = !attempts;

@@ -23,30 +23,11 @@
    everywhere and only the *reports* lie. *)
 
 let hour = Sim.Engine.hour
-let day = Sim.Engine.day
 
 let days = 2.0
 let audit_period = 6. *. hour
-let adversary_isp = 2
+let adversary_isp = 2  (* on the severed side of [Cell.partition_windows] *)
 let crosscheck_victim = 5
-let generators = 16
-
-type fault_level = { flabel : string; mesh : Sim.Fault.plan; partitioned : bool }
-
-let fault_levels =
-  [
-    { flabel = "calm"; mesh = Sim.Fault.reliable; partitioned = false };
-    {
-      flabel = "lossy";
-      mesh = Sim.Fault.plan ~drop:0.05 ~delay_prob:0.10 ~delay_max:2.0 ();
-      partitioned = false;
-    };
-    {
-      flabel = "partitioned";
-      mesh = Sim.Fault.plan ~drop:0.02 ~delay_prob:0.05 ~delay_max:2.0 ();
-      partitioned = true;
-    };
-  ]
 
 let adversaries =
   [
@@ -54,22 +35,6 @@ let adversaries =
     Some (Zmail.Adversary.Understate_owed 3);
     Some Zmail.Adversary.Replay_stale;
     Some (Zmail.Adversary.Drop_crosscheck crosscheck_victim);
-  ]
-
-(* Two windows, both covering audit rounds (audits fire every 6 h =
-   0.25 d): the long one spans the 0.5 d and 0.75 d rounds — two
-   consecutive quorum rounds, so the carry matrix accumulates across a
-   multi-round lag — and the short one re-severs around the 1.5 d
-   round after a healed interval.  Group 1 is the adversary's side of
-   the split (with one honest companion, ISP 3); the bank and everyone
-   else stay in group 0. *)
-let partition_windows ~n_isps =
-  let groups = Array.make (n_isps + 1) 0 in
-  groups.(adversary_isp) <- 1;
-  groups.(3) <- 1;
-  [
-    Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.95 *. day) ~groups;
-    Sim.Fault.Mesh.partition ~start:(1.45 *. day) ~stop:(1.55 *. day) ~groups;
   ]
 
 type outcome = {
@@ -92,61 +57,17 @@ type outcome = {
   metrics : Sim.Table.t;
 }
 
-(* Strict-majority convictions recomputed from the raw violation list:
-   an ISP is convicted when it violates with strictly more than half
-   of the round's *present* peers.  [Bank.audit_result.suspects] falls
-   back to "everyone implicated" when nobody crosses the threshold
-   (investigation leads per §4.4) — for measuring false accusations
-   the two must not be conflated, so E18 applies the majority rule
-   itself and never treats the fallback as a conviction. *)
-let convictions ~compliant (r : Zmail.Bank.audit_result) =
-  let n = Array.length compliant in
-  let present i = compliant.(i) && not (List.mem i r.Zmail.Bank.absent) in
-  let present_count = ref 0 in
-  for i = 0 to n - 1 do
-    if present i then incr present_count
-  done;
-  let counts = Array.make n 0 in
-  List.iter
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      counts.(v.Zmail.Credit.Audit.isp_a) <- counts.(v.Zmail.Credit.Audit.isp_a) + 1;
-      counts.(v.Zmail.Credit.Audit.isp_b) <- counts.(v.Zmail.Credit.Audit.isp_b) + 1)
-    r.Zmail.Bank.violations;
-  let threshold = (!present_count - 1) / 2 in
-  List.filter
-    (fun i -> present i && counts.(i) > threshold)
-    (List.init n (fun i -> i))
-
-let implicated (r : Zmail.Bank.audit_result) =
-  List.concat_map
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      [ v.Zmail.Credit.Audit.isp_a; v.Zmail.Credit.Audit.isp_b ])
-    r.Zmail.Bank.violations
-  |> List.sort_uniq compare
+(* Convictions are {!Cell.convictions}, never [r.suspects]: the
+   suspect list falls back to "everyone implicated" when nobody crosses
+   the majority threshold, and for measuring false accusations that
+   investigation fallback must not count as a conviction. *)
+let adv_name = function Some b -> Zmail.Adversary.name b | None -> "none"
 
 let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
-    ~(fl : fault_level) ~behavior =
+    ~(fl : Cell.fault_level) ~behavior =
   let world =
     Zmail.World.create
-      {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some audit_period;
-        retain_mail = false;
-        tracer = Some tracer;
-        mesh_default = fl.mesh;
-        partitions = (if fl.partitioned then partition_windows ~n_isps else []);
-        customize_isp =
-          (fun _ cfg ->
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
-            {
-              cfg with
-              Zmail.Isp.initial_avail = 2 * users_per_isp;
-              minavail = users_per_isp;
-              buy_amount = 5 * users_per_isp;
-              maxavail = 20 * users_per_isp;
-            });
-      }
+      (Cell.grid_config ~seed ~tracer ~n_isps ~users_per_isp ~audit_period fl)
   in
   let adv = Option.map Zmail.Adversary.create behavior in
   (match adv with
@@ -155,98 +76,33 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   (* After register_adversary: the honest mask must already exclude the
      tampering ISP when the antisymmetry checker subscribes. *)
   let checkers = Zmail.World.attach_invariants world in
-  let engine = Zmail.World.engine world in
-  let rng = Sim.Engine.rng engine in
-  let universe = n_isps * users_per_isp in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
-  let stride =
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-    find 97
+  let tally =
+    Cell.zipf_mail world ~n_isps ~users_per_isp ~sends_per_user ~days
   in
-  let attempts = ref 0 in
-  let paid = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match
-      Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()
-    with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free | Zmail.World.Deferred_snapshot
-    | Zmail.World.Failed_down | Zmail.World.Backpressured
-    | Zmail.World.Rejected _ ->
-        ()
-  in
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + if i < total_sends mod n_gen then 1 else 0 in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done;
-  let label =
-    Printf.sprintf "%s/%s"
-      (match behavior with
-      | Some b -> Zmail.Adversary.name b
-      | None -> "none")
-      fl.flabel
-  in
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E18: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
+  let label = Printf.sprintf "%s/%s" (adv_name behavior) fl.flabel in
+  Cell.drain ~tag:"E18" persist ~label ~world ~days:(days +. 0.5) checkers;
   let compliant = (Zmail.World.config world).Zmail.World.compliant in
   let audits = Zmail.World.audit_results_timed world in
-  let first p =
-    List.find_map (fun (time, r) -> if p r then Some time else None) audits
-  in
+  let first = Cell.first_round audits in
   let adv_implicated =
     match behavior with
     | None -> None
-    | Some _ -> first (fun r -> List.mem adversary_isp (implicated r))
+    | Some _ -> first (fun r -> List.mem adversary_isp (Cell.implicated r))
   in
   let adv_convicted =
     match behavior with
     | None -> None
     | Some _ ->
-        first (fun r -> List.mem adversary_isp (convictions ~compliant r))
+        first (fun r -> List.mem adversary_isp (Cell.convictions ~compliant r))
   in
   let honest_of l = List.filter (fun i -> i <> adversary_isp) l in
   let honest_convicted =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc + List.length (honest_of (convictions ~compliant r)))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        List.length (honest_of (Cell.convictions ~compliant r)))
   in
   let honest_implicated =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length (honest_of (implicated r)))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        List.length (honest_of (Cell.implicated r)))
   in
   let c = Zmail.World.counters world in
   let link = Zmail.World.link_stats world in
@@ -259,8 +115,8 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
     !sum
   in
   {
-    attempts = !attempts;
-    paid = !paid;
+    attempts = tally.Cell.attempts;
+    paid = tally.Cell.paid;
     delivered = c.Zmail.World.ham_delivered;
     bounced = mta_bounced;
     refunds = Sim.Stats.Counter.value link.Zmail.World.bounce_refunds;
@@ -269,9 +125,7 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
     audits = List.length audits;
     deferred_rounds = Sim.Stats.Counter.value link.Zmail.World.audits_deferred;
     absences =
-      List.fold_left
-        (fun acc (_, r) -> acc + List.length r.Zmail.Bank.absent)
-        0 audits;
+      Cell.sum_rounds audits (fun r -> List.length r.Zmail.Bank.absent);
     adv_implicated;
     adv_convicted;
     honest_convicted;
@@ -288,23 +142,10 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
   let n_isps, users_per_isp, sends_per_user =
     if full then (100, 1000, 3) else (10, 100, 3)
   in
-  let cells =
-    List.concat_map
-      (fun behavior -> List.map (fun fl -> (behavior, fl)) fault_levels)
-      adversaries
-  in
   let outcomes =
-    List.mapi
-      (fun k (behavior, fl) ->
-        ( behavior,
-          fl,
-          run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
-            ~sends_per_user ~fl ~behavior ))
-      cells
-  in
-  let day_of = function
-    | Some time -> Printf.sprintf "day %.2f" (time /. day)
-    | None -> "never"
+    Cell.grid adversaries Cell.fault_levels (fun k behavior fl ->
+        run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
+          ~sends_per_user ~fl ~behavior)
   in
   let traffic =
     Sim.Table.create
@@ -332,10 +173,8 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
     (fun (behavior, fl, o) ->
       Sim.Table.add_row traffic
         [
-          (match behavior with
-          | Some b -> Zmail.Adversary.name b
-          | None -> "none");
-          fl.flabel;
+          adv_name behavior;
+          fl.Cell.flabel;
           Sim.Table.cell_int o.attempts;
           Sim.Table.cell_int o.paid;
           Sim.Table.cell_int o.delivered;
@@ -374,24 +213,19 @@ let run ?obs ?persist ?(seed = 18) ?(full = false) () =
     (fun (behavior, fl, o) ->
       Sim.Table.add_row detection
         [
-          (match behavior with
-          | Some b -> Zmail.Adversary.name b
-          | None -> "none");
-          fl.flabel;
+          adv_name behavior;
+          fl.Cell.flabel;
           Sim.Table.cell_int o.audits;
           Sim.Table.cell_int o.deferred_rounds;
           Sim.Table.cell_int o.absences;
           Sim.Table.cell_int o.tampered;
-          day_of o.adv_implicated;
-          day_of o.adv_convicted;
+          Cell.day_of o.adv_implicated;
+          Cell.day_of o.adv_convicted;
           Sim.Table.cell_int o.honest_implicated;
           Sim.Table.cell_int o.honest_convicted;
           Sim.Table.cell_int o.residue;
           (if o.residue = 0 then "yes" else "NO");
         ])
     outcomes;
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, _, last) :: _ -> [ traffic; detection; last.metrics ]
-    | [] -> [ traffic; detection ]
-  else [ traffic; detection ]
+  Cell.with_metrics obs [ traffic; detection ]
+    (List.map (fun (_, _, o) -> o.metrics) outcomes)

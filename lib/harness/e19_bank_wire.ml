@@ -34,27 +34,9 @@ let day = Sim.Engine.day
 
 let days = 2.0
 let audit_period = 6. *. hour
-let tapped_isp = 2
-let generators = 16
+let tapped_isp = 2  (* on the severed side of [Cell.partition_windows] *)
 
 module BW = Zmail.Adversary.Bank_wire
-
-type fault_level = { flabel : string; mesh : Sim.Fault.plan; partitioned : bool }
-
-let fault_levels =
-  [
-    { flabel = "calm"; mesh = Sim.Fault.reliable; partitioned = false };
-    {
-      flabel = "lossy";
-      mesh = Sim.Fault.plan ~drop:0.05 ~delay_prob:0.10 ~delay_max:2.0 ();
-      partitioned = false;
-    };
-    {
-      flabel = "partitioned";
-      mesh = Sim.Fault.plan ~drop:0.02 ~delay_prob:0.05 ~delay_max:2.0 ();
-      partitioned = true;
-    };
-  ]
 
 let wire_adversaries =
   [
@@ -64,19 +46,6 @@ let wire_adversaries =
     Some (BW.Reorder (0.3, 30.));
     Some (BW.Drop_selective (BW.Buy_msg, 0.5));
     Some (BW.Drop_selective (BW.Audit_reply_msg, 0.5));
-  ]
-
-(* Same shape as E18's windows: the tapped ISP's side of the split
-   (with one honest companion) is severed from the bank across audit
-   rounds, once for a multi-round stretch and once briefly after a
-   healed interval. *)
-let partition_windows ~n_isps =
-  let groups = Array.make (n_isps + 1) 0 in
-  groups.(tapped_isp) <- 1;
-  groups.(3) <- 1;
-  [
-    Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.95 *. day) ~groups;
-    Sim.Fault.Mesh.partition ~start:(1.45 *. day) ~stop:(1.55 *. day) ~groups;
   ]
 
 type outcome = {
@@ -102,34 +71,7 @@ type outcome = {
   metrics : Sim.Table.t;
 }
 
-(* Strict-majority convictions recomputed from the raw violation list
-   (same rule as E18): convicted = violates with strictly more than
-   half of the round's present peers; the suspect-list fallback to
-   "everyone implicated" is §4.4 investigation, not conviction. *)
-let convictions ~compliant (r : Zmail.Bank.audit_result) =
-  let n = Array.length compliant in
-  let present i = compliant.(i) && not (List.mem i r.Zmail.Bank.absent) in
-  let present_count = ref 0 in
-  for i = 0 to n - 1 do
-    if present i then incr present_count
-  done;
-  let counts = Array.make n 0 in
-  List.iter
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      counts.(v.Zmail.Credit.Audit.isp_a) <- counts.(v.Zmail.Credit.Audit.isp_a) + 1;
-      counts.(v.Zmail.Credit.Audit.isp_b) <- counts.(v.Zmail.Credit.Audit.isp_b) + 1)
-    r.Zmail.Bank.violations;
-  let threshold = (!present_count - 1) / 2 in
-  List.filter
-    (fun i -> present i && counts.(i) > threshold)
-    (List.init n (fun i -> i))
-
-let implicated_of (r : Zmail.Bank.audit_result) =
-  List.concat_map
-    (fun (v : Zmail.Credit.Audit.violation) ->
-      [ v.Zmail.Credit.Audit.isp_a; v.Zmail.Credit.Audit.isp_b ])
-    r.Zmail.Bank.violations
-  |> List.sort_uniq compare
+let adv_name = function Some b -> BW.name b | None -> "none"
 
 let reject_count stats reason =
   match List.assoc_opt reason stats.Zmail.Bank.rejects with
@@ -137,33 +79,24 @@ let reject_count stats reason =
   | None -> 0
 
 let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
-    ~(fl : fault_level) ~behavior =
+    ~(fl : Cell.fault_level) ~behavior =
   let world =
     Zmail.World.create
       {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some audit_period;
-        retain_mail = false;
-        tracer = Some tracer;
-        mesh_default = fl.mesh;
-        partitions = (if fl.partitioned then partition_windows ~n_isps else []);
-        bank_wire =
+        (Cell.grid_config ~seed ~tracer ~n_isps ~users_per_isp ~audit_period
+           fl)
+        with
+        Zmail.World.bank_wire =
           (match behavior with Some b -> [ (tapped_isp, b) ] | None -> []);
         customize_isp =
           (fun i cfg ->
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
-            {
-              cfg with
-              Zmail.Isp.initial_avail = 2 * users_per_isp;
-              minavail = users_per_isp;
-              (* The tapped ISP refills in small slices so the bulk
-                 blast below drives a steady stream of buy_msgs through
-                 the tap instead of one big one. *)
-              buy_amount =
-                (if i = tapped_isp then users_per_isp else 5 * users_per_isp);
-              maxavail = 20 * users_per_isp;
-            });
+            let cfg = Zmail.Isp.scale_pools ~users_per_isp cfg in
+            (* The tapped ISP refills in small slices so the bulk blast
+               below drives a steady stream of buy_msgs through the tap
+               instead of one big one. *)
+            if i = tapped_isp then
+              { cfg with Zmail.Isp.buy_amount = users_per_isp }
+            else cfg);
       }
   in
   (* No [register_adversary]: the tap owns the wire, not the books, so
@@ -174,47 +107,9 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   let rng = Sim.Engine.rng engine in
   let universe = n_isps * users_per_isp in
   let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
-  let stride =
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-    find 97
+  let tally =
+    Cell.zipf_mail world ~n_isps ~users_per_isp ~sends_per_user ~days
   in
-  let attempts = ref 0 in
-  let paid = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match
-      Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()
-    with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free | Zmail.World.Deferred_snapshot
-    | Zmail.World.Failed_down | Zmail.World.Backpressured
-    | Zmail.World.Rejected _ ->
-        ()
-  in
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + if i < total_sends mod n_gen then 1 else 0 in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done;
   (* A finite bulk blast from the tapped ISP, rotated over ten of its
      users: their auto-topups drain the ISP pool across [minavail], so
      the pool issues a steady stream of real buy_msgs for the tap to
@@ -228,8 +123,7 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
     if remaining > 0 then begin
       let u = remaining mod blast_users in
       let self = (tapped_isp * users_per_isp) + u in
-      let tgt = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-      let tgt = if tgt >= self then tgt + 1 else tgt in
+      let tgt = Sim.Workload.other rng ~universe self in
       ignore
         (Zmail.World.send_email world ~from:(tapped_isp, u)
            ~to_:(of_global tgt) ~spam:true ());
@@ -240,35 +134,16 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
     end
   in
   ignore (Sim.Engine.schedule_after engine ~delay:7. (blast blast_budget));
-  let label =
-    Printf.sprintf "%s/%s"
-      (match behavior with Some b -> BW.name b | None -> "none")
-      fl.flabel
-  in
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E19: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
+  let label = Printf.sprintf "%s/%s" (adv_name behavior) fl.flabel in
+  Cell.drain ~tag:"E19" persist ~label ~world ~days:(days +. 0.5) checkers;
   let compliant = (Zmail.World.config world).Zmail.World.compliant in
   let audits = Zmail.World.audit_results_timed world in
   let convicted =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length (convictions ~compliant r))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        List.length (Cell.convictions ~compliant r))
   in
   let implicated =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length (implicated_of r))
-      0 audits
+    Cell.sum_rounds audits (fun r -> List.length (Cell.implicated r))
   in
   let residue = Zmail.World.epenny_residue world in
   if convicted > 0 then
@@ -289,8 +164,8 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   in
   let tap_count f = match tap with Some t -> f t | None -> 0 in
   {
-    attempts = !attempts;
-    paid = !paid;
+    attempts = tally.Cell.attempts;
+    paid = tally.Cell.paid;
     delivered = c.Zmail.World.ham_delivered;
     buys = bstats.Zmail.Bank.buys;
     sells = bstats.Zmail.Bank.sells;
@@ -578,21 +453,11 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
   let n_isps, users_per_isp, sends_per_user =
     if full then (100, 1000, 3) else (10, 100, 3)
   in
-  let cells =
-    List.concat_map
-      (fun behavior -> List.map (fun fl -> (behavior, fl)) fault_levels)
-      wire_adversaries
-  in
   let outcomes =
-    List.mapi
-      (fun k (behavior, fl) ->
-        ( behavior,
-          fl,
-          run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
-            ~sends_per_user ~fl ~behavior ))
-      cells
+    Cell.grid wire_adversaries Cell.fault_levels (fun k behavior fl ->
+        run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
+          ~sends_per_user ~fl ~behavior)
   in
-  let adv_name = function Some b -> BW.name b | None -> "none" in
   let traffic =
     Sim.Table.create
       ~title:
@@ -622,7 +487,7 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
       Sim.Table.add_row traffic
         [
           adv_name behavior;
-          fl.flabel;
+          fl.Cell.flabel;
           Sim.Table.cell_int o.attempts;
           Sim.Table.cell_int o.paid;
           Sim.Table.cell_int o.delivered;
@@ -663,7 +528,7 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
       Sim.Table.add_row detection
         [
           adv_name behavior;
-          fl.flabel;
+          fl.Cell.flabel;
           Sim.Table.cell_int o.tap_forged;
           Sim.Table.cell_int o.tap_replayed;
           Sim.Table.cell_int o.tap_delayed;
@@ -677,19 +542,10 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
         ])
     outcomes;
   let n_banks = if full then 16 else 4 in
-  let fed_cells =
-    List.concat_map
-      (fun (name, b) -> List.map (fun c -> (name, b, c)) chaos_levels)
-      bank_behaviors
-  in
   let fed_outcomes =
-    List.mapi
-      (fun k (name, b, chaos) ->
-        ( name,
-          chaos,
-          run_fed_cell ~seed:(seed + 1000 + k) ~n_banks ~chaos
-            ~behavior_name:name ~behavior:b ))
-      fed_cells
+    Cell.grid bank_behaviors chaos_levels (fun k (name, b) chaos ->
+        run_fed_cell ~seed:(seed + 1000 + k) ~n_banks ~chaos ~behavior_name:name
+          ~behavior:b)
   in
   let federation =
     Sim.Table.create
@@ -720,7 +576,7 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
         ]
   in
   List.iter
-    (fun (name, chaos, o) ->
+    (fun ((name, _), chaos, o) ->
       Sim.Table.add_row federation
         [
           name;
@@ -744,8 +600,5 @@ let run ?obs ?persist ?(seed = 19) ?(full = false) () =
           (if o.money_ok then "exact" else "BROKEN");
         ])
     fed_outcomes;
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, _, last) :: _ -> [ traffic; detection; federation; last.metrics ]
-    | [] -> [ traffic; detection; federation ]
-  else [ traffic; detection; federation ]
+  Cell.with_metrics obs [ traffic; detection; federation ]
+    (List.map (fun (_, _, o) -> o.metrics) outcomes)

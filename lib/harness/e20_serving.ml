@@ -123,8 +123,7 @@ let run_cell ?tracer ?(persist = Checkpoint.none) ~seed ~label ~rate ~chaos () =
   let blocked = ref 0 in
   let send () =
     let g = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 1) in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
+    let t = Sim.Workload.other rng ~universe g in
     incr attempts;
     match Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) () with
     | Zmail.World.Submitted `Paid -> incr paid
@@ -134,42 +133,12 @@ let run_cell ?tracer ?(persist = Checkpoint.none) ~seed ~label ~rate ~chaos () =
     | Zmail.World.Deferred_snapshot | Zmail.World.Failed_down -> ()
   in
   (* A fixed budget (deterministic cell size) offered over the first
-     90% of [duration] by self-rescheduling Poisson generators — the
-     same heap-flat shape as E17's workload. *)
-  let total_sends = int_of_float (rate *. duration) in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let gen_rate = float_of_int per_gen /. (0.9 *. duration) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + (if i < total_sends mod n_gen then 1 else 0) in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate:gen_rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 0.37)
-         (step budget))
-  done;
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(duration /. day) ();
-     (* Drain: in-flight sessions, backoff chains and bounce refunds
-        all settle before anything is measured. *)
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E20: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
+     90% of [duration] — the same heap-flat shape as E17's workload.
+     The drain then settles in-flight sessions, backoff chains and
+     bounce refunds before anything is measured. *)
+  Sim.Workload.fleet engine ~total:(int_of_float (rate *. duration))
+    ~generators ~span:duration ~stagger:0.37 send;
+  Cell.drain ~tag:"E20" persist ~label ~world ~days:(duration /. day) checkers;
   let dispatch =
     match Zmail.World.serve world with
     | Some d -> d
@@ -301,8 +270,5 @@ let run ?obs ?persist ?(seed = 20) ?(full = false) () =
               ])
         o.classes)
     outcomes;
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | last :: _ -> [ summary; latency; last.metrics ]
-    | [] -> [ summary; latency ]
-  else [ summary; latency ]
+  Cell.with_metrics obs [ summary; latency ]
+    (List.map (fun o -> o.metrics) outcomes)

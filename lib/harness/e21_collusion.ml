@@ -31,7 +31,6 @@ let day = Sim.Engine.day
 
 let days = 2.0
 let audit_period = 6. *. hour
-let generators = 16
 
 (* A collusion plan: which ISPs tamper, whom they frame, and the
    per-member behaviors from the {!Zmail.Adversary} plan builders. *)
@@ -65,31 +64,15 @@ let ring_plan k =
     assignments = Zmail.Adversary.collusion_ring ~members ~victims ~delta:2 ();
   }
 
-type fault_level = { flabel : string; mesh : Sim.Fault.plan; partitioned : bool }
-
-let fault_levels =
-  [
-    { flabel = "calm"; mesh = Sim.Fault.reliable; partitioned = false };
-    {
-      flabel = "partitioned";
-      mesh = Sim.Fault.plan ~drop:0.02 ~delay_prob:0.05 ~delay_max:2.0 ();
-      partitioned = true;
-    };
-  ]
-
-(* Same window shape as E18: coalition member 2 (every plan includes
-   it) and an honest companion are severed from the bank across the
-   0.5 d and 0.75 d audit rounds, then briefly again around 1.5 d.
-   The member's tampered row only reaches the bank after the heal, so
-   ring conviction must ride the carry-matrix reconciliation. *)
-let partition_windows ~n_isps =
-  let groups = Array.make (n_isps + 1) 0 in
-  groups.(2) <- 1;
-  groups.(3) <- 1;
-  [
-    Sim.Fault.Mesh.partition ~start:(0.3 *. day) ~stop:(0.95 *. day) ~groups;
-    Sim.Fault.Mesh.partition ~start:(1.45 *. day) ~stop:(1.55 *. day) ~groups;
-  ]
+(* Calm and partitioned only.  Every plan includes member 2, so the
+   partitioned level's [Cell.partition_windows] sever a coalition
+   member (with its honest companion, ISP 3, never a member) from the
+   bank across the 0.5 d and 0.75 d audit rounds, then briefly again
+   around 1.5 d.  The member's tampered row only reaches the bank after
+   the heal, so ring conviction must ride the carry-matrix
+   reconciliation. *)
+let levels =
+  List.filter (fun fl -> fl.Cell.flabel <> "lossy") Cell.fault_levels
 
 type outcome = {
   attempts : int;
@@ -114,28 +97,10 @@ type outcome = {
 }
 
 let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
-    ~(fl : fault_level) ~(plan : plan) =
+    ~(fl : Cell.fault_level) ~(plan : plan) =
   let world =
     Zmail.World.create
-      {
-        (Zmail.World.default_config ~n_isps ~users_per_isp) with
-        Zmail.World.seed;
-        audit_period = Some audit_period;
-        retain_mail = false;
-        tracer = Some tracer;
-        mesh_default = fl.mesh;
-        partitions = (if fl.partitioned then partition_windows ~n_isps else []);
-        customize_isp =
-          (fun _ cfg ->
-            let cfg = { cfg with Zmail.Isp.daily_limit = 1_000_000 } in
-            {
-              cfg with
-              Zmail.Isp.initial_avail = 2 * users_per_isp;
-              minavail = users_per_isp;
-              buy_amount = 5 * users_per_isp;
-              maxavail = 20 * users_per_isp;
-            });
-      }
+      (Cell.grid_config ~seed ~tracer ~n_isps ~users_per_isp ~audit_period fl)
   in
   let advs =
     List.map
@@ -149,72 +114,14 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
      member before the antisymmetry and cycle-residue checkers
      subscribe — a victim conviction trips cycle-residue instantly. *)
   let checkers = Zmail.World.attach_invariants world in
-  let engine = Zmail.World.engine world in
-  let rng = Sim.Engine.rng engine in
-  let universe = n_isps * users_per_isp in
-  let of_global g = (g / users_per_isp, g mod users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
-  let stride =
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-    find 97
+  let tally =
+    Cell.zipf_mail world ~n_isps ~users_per_isp ~sends_per_user ~days
   in
-  let attempts = ref 0 in
-  let paid = ref 0 in
-  let send () =
-    let g = (rank rng - 1) * stride mod universe in
-    let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-    let t = if t >= g then t + 1 else t in
-    incr attempts;
-    match
-      Zmail.World.send_email world ~from:(of_global g) ~to_:(of_global t) ()
-    with
-    | Zmail.World.Submitted `Paid -> incr paid
-    | Zmail.World.Submitted `Free | Zmail.World.Deferred_snapshot
-    | Zmail.World.Failed_down | Zmail.World.Backpressured
-    | Zmail.World.Rejected _ ->
-        ()
-  in
-  let total_sends = universe * sends_per_user in
-  let n_gen = Stdlib.min generators total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + if i < total_sends mod n_gen then 1 else 0 in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done;
   let label = Printf.sprintf "%s/%s" plan.plabel fl.flabel in
-  (try
-     Checkpoint.drive persist ~label ~world ~days:(days +. 0.5) ();
-     Zmail.World.run_until_quiet world;
-     Zmail.World.check_invariants ~quiescent:true world
-   with Obs.Invariant.Violation v ->
-     Format.eprintf "%a@." Obs.Invariant.pp_violation v;
-     raise (Obs.Invariant.Violation v));
-  List.iter
-    (fun c ->
-      if Obs.Invariant.checks c = 0 then
-        failwith ("E21: checker " ^ Obs.Invariant.name c ^ " never ran");
-      Obs.Invariant.detach c)
-    checkers;
+  Cell.drain ~tag:"E21" persist ~label ~world ~days:(days +. 0.5) checkers;
   let audits = Zmail.World.audit_results_timed world in
-  let first p =
-    List.find_map (fun (time, r) -> if p r then Some time else None) audits
-  in
-  let first_ring =
-    first (fun r -> r.Zmail.Bank.rings <> [])
-  in
+  let first = Cell.first_round audits in
+  let first_ring = first (fun r -> r.Zmail.Bank.rings <> []) in
   let full_conviction (r : Zmail.Bank.audit_result) =
     List.for_all (fun m -> List.mem m r.Zmail.Bank.convicted) plan.colluders
   in
@@ -230,37 +137,23 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
             if time > 0.95 *. day && full_conviction r then Some time else None)
           audits
   in
+  let count p l = List.length (List.filter p l) in
   let honest_convicted =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.length
-            (List.filter
-               (fun i -> not (List.mem i plan.colluders))
-               r.Zmail.Bank.convicted))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        count (fun i -> not (List.mem i plan.colluders)) r.Zmail.Bank.convicted)
   in
   let victims_cleared =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.length
-            (List.filter (fun i -> List.mem i plan.victims) r.Zmail.Bank.cleared))
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        count (fun i -> List.mem i plan.victims) r.Zmail.Bank.cleared)
   in
   let rings_found =
-    List.fold_left
-      (fun acc (_, r) -> acc + List.length r.Zmail.Bank.rings)
-      0 audits
+    Cell.sum_rounds audits (fun r -> List.length r.Zmail.Bank.rings)
   in
   let ring_volume =
-    List.fold_left
-      (fun acc (_, r) ->
-        acc
-        + List.fold_left
-            (fun a (ring : Audit.Cycle.ring) -> a + ring.Audit.Cycle.residue)
-            0 r.Zmail.Bank.rings)
-      0 audits
+    Cell.sum_rounds audits (fun r ->
+        List.fold_left
+          (fun a (ring : Audit.Cycle.ring) -> a + ring.Audit.Cycle.residue)
+          0 r.Zmail.Bank.rings)
   in
   (* The cell's hard promises, checked here so a regression fails the
      experiment rather than shading a table cell. *)
@@ -271,10 +164,8 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   if plan.colluders <> [] && all_convicted = None then
     failwith
       (Printf.sprintf
-         "E21 %s: coalition never fully convicted (first ring %s)" label
-         (match first_ring with
-         | Some t -> Printf.sprintf "at day %.2f" (t /. day)
-         | None -> "never"));
+         "E21 %s: coalition never fully convicted (first ring: %s)" label
+         (Cell.day_of first_ring));
   (* Partition cells must re-convict after the heal: the severed
      member's tampered report only reaches that round through the
      carry matrix, so a missing post-heal conviction means the carry
@@ -292,15 +183,13 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   let c = Zmail.World.counters world in
   let link = Zmail.World.link_stats world in
   {
-    attempts = !attempts;
-    paid = !paid;
+    attempts = tally.Cell.attempts;
+    paid = tally.Cell.paid;
     delivered = c.Zmail.World.ham_delivered;
     audits = List.length audits;
     deferred_rounds = Sim.Stats.Counter.value link.Zmail.World.audits_deferred;
     absences =
-      List.fold_left
-        (fun acc (_, r) -> acc + List.length r.Zmail.Bank.absent)
-        0 audits;
+      Cell.sum_rounds audits (fun r -> List.length r.Zmail.Bank.absent);
     rings_found;
     ring_volume;
     first_ring;
@@ -325,35 +214,22 @@ let run ?obs ?persist ?(seed = 21) ?(full = false) () =
     [ no_collusion; pair_plan; ring_plan 3 ]
     @ (if full then [ ring_plan 5 ] else [])
   in
-  let cells =
-    List.concat_map
-      (fun plan -> List.map (fun fl -> (plan, fl)) fault_levels)
-      plans
-  in
   let outcomes =
-    List.mapi
-      (fun k (plan, fl) ->
-        ( plan,
-          fl,
-          run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
-            ~sends_per_user ~fl ~plan ))
-      cells
+    Cell.grid plans levels (fun k plan fl ->
+        run_cell ~tracer ~persist ~seed:(seed + k) ~n_isps ~users_per_isp
+          ~sends_per_user ~fl ~plan)
   in
   (* The 10^4-ISP row (--full): the scale §4.4 names, representable
      only sparsely.  One calm 3-ring cell — the conviction property at
      four orders of magnitude, not a fault sweep. *)
   let scale =
     if full then
-      let plan = ring_plan 3 and fl = List.hd fault_levels in
+      let plan = ring_plan 3 and fl = List.hd levels in
       Some
         ( plan,
           run_cell ~tracer ~persist ~seed:(seed + 97) ~n_isps:10_000
             ~users_per_isp:1 ~sends_per_user:1 ~fl ~plan )
     else None
-  in
-  let day_of = function
-    | Some time -> Printf.sprintf "day %.2f" (time /. day)
-    | None -> "never"
   in
   let detection =
     Sim.Table.create
@@ -398,23 +274,20 @@ let run ?obs ?persist ?(seed = 21) ?(full = false) () =
         Sim.Table.cell_int o.tampered;
         Sim.Table.cell_int o.rings_found;
         Sim.Table.cell_int o.ring_volume;
-        day_of o.first_ring;
-        day_of o.all_convicted;
-        day_of o.post_heal;
+        Cell.day_of o.first_ring;
+        Cell.day_of o.all_convicted;
+        Cell.day_of o.post_heal;
         Sim.Table.cell_int o.victims_cleared;
         Sim.Table.cell_int o.honest_convicted;
         Sim.Table.cell_int o.residue;
       ]
   in
   List.iter
-    (fun (plan, fl, o) -> add_row detection plan.plabel fl.flabel o)
+    (fun (plan, fl, o) -> add_row detection plan.plabel fl.Cell.flabel o)
     outcomes;
   (match scale with
   | Some (plan, o) ->
       add_row detection (plan.plabel ^ "@10^4 isps") "calm" o
   | None -> ());
-  if obs.Obs.Run.metrics then
-    match List.rev outcomes with
-    | (_, _, last) :: _ -> [ detection; last.metrics ]
-    | [] -> [ detection ]
-  else [ detection ]
+  Cell.with_metrics obs [ detection ]
+    (List.map (fun (_, _, o) -> o.metrics) outcomes)

@@ -12,12 +12,16 @@
 
 let hour = Sim.Engine.hour
 
+(* Every scenario is 4 groups x 4 ISPs x 50 users over the default
+   2 days; they differ in cross traffic and shard-local partitions. *)
+let groups = 4
+let isps_per_group = 4
+let users_per_isp = 50
+
+let no_partitions _ = []
+
 type scenario = {
   label : string;
-  groups : int;
-  isps_per_group : int;
-  users_per_isp : int;
-  days : float;
   cross_fraction : float;
   partitions : int -> Sim.Fault.Mesh.partition list;
 }
@@ -26,28 +30,16 @@ let scenarios =
   [
     {
       label = "baseline 4x4x50";
-      groups = 4;
-      isps_per_group = 4;
-      users_per_isp = 50;
-      days = 2.0;
       cross_fraction = 0.1;
-      partitions = (fun _ -> []);
+      partitions = no_partitions;
     };
     {
       label = "heavy cross traffic";
-      groups = 4;
-      isps_per_group = 4;
-      users_per_isp = 50;
-      days = 2.0;
       cross_fraction = 0.4;
-      partitions = (fun _ -> []);
+      partitions = no_partitions;
     };
     {
       label = "partition straddles barrier";
-      groups = 4;
-      isps_per_group = 4;
-      users_per_isp = 50;
-      days = 2.0;
       cross_fraction = 0.1;
       partitions =
         (function
@@ -64,11 +56,9 @@ let scenarios =
 let build sc ~seed =
   Zmail.Parworld.create
     {
-      (Zmail.Parworld.default_config ~groups:sc.groups
-         ~isps_per_group:sc.isps_per_group ~users_per_isp:sc.users_per_isp)
+      (Zmail.Parworld.default_config ~groups ~isps_per_group ~users_per_isp)
       with
       Zmail.Parworld.seed;
-      days = sc.days;
       cross_fraction = sc.cross_fraction;
       partitions = sc.partitions;
     }
@@ -127,9 +117,8 @@ let run ?obs:_ ?persist:_ ?(seed = 22) ?(domains = 2) () =
       Sim.Table.add_row table
         [
           sc.label;
-          Sim.Table.cell_int sc.groups;
-          Sim.Table.cell_int
-            (sc.groups * sc.isps_per_group * sc.users_per_isp);
+          Sim.Table.cell_int groups;
+          Sim.Table.cell_int (groups * isps_per_group * users_per_isp);
           Sim.Table.cell_int (Zmail.Parworld.cross_sent single);
           Sim.Table.cell_int (Zmail.Parworld.barriers single);
           Sim.Table.cell_int (Zmail.Parworld.ham_delivered single);

@@ -24,7 +24,7 @@ type cell = {
   chaos : bool;  (* lossy bank link *)
 }
 
-let fault_levels =
+let disk_levels =
   [
     ("disk ok g1", Sim.Disk.reliable, 1);
     ("torn g4", Sim.Disk.plan ~torn:0.6 (), 4);
@@ -52,9 +52,9 @@ let cells ~full =
   if full then
     List.concat_map
       (fun lvl -> [ cell ~density:Dense ~chaos:false lvl; cell ~density:Dense ~chaos:true lvl ])
-      fault_levels
+      disk_levels
   else
-    match fault_levels with
+    match disk_levels with
     | [ ok; torn; rot ] ->
         [
           cell ~density:Dense ~chaos:false ok;

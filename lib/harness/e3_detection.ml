@@ -62,16 +62,10 @@ let run_scenario ~obs ~persist ~seed scenario =
   Zmail.World.trigger_audit world;
   (* Let the audit (requests, 10-minute freezes, replies) finish. *)
   Checkpoint.drive persist ~label:scenario.label ~world ~days:0.1 ();
-  List.iter
-    (fun c ->
-      if
-        Obs.Invariant.name c <> "exactly-once"
-        && Obs.Invariant.checks c = 0
-      then failwith ("E3: checker " ^ Obs.Invariant.name c ^ " never ran");
-      (* Scenarios may share the front end's tracer; detach so the next
-         scenario's events do not feed this scenario's models. *)
-      Obs.Invariant.detach c)
-    checkers;
+  (* Scenarios may share the front end's tracer; retiring detaches the
+     checkers so the next scenario's events do not feed this
+     scenario's models. *)
+  Cell.retire ~tag:"E3" ~exempt:[ "exactly-once" ] checkers;
   match Zmail.World.audit_results world with
   | [ result ] ->
       let truth = List.map fst scenario.cheats in

@@ -37,6 +37,16 @@ let default_config ~index ~n_isps ~n_users ~compliant ~bank_public =
     cheat = Honest;
   }
 
+let scale_pools ~users_per_isp cfg =
+  {
+    cfg with
+    daily_limit = 1_000_000;
+    initial_avail = 2 * users_per_isp;
+    minavail = users_per_isp;
+    buy_amount = 5 * users_per_isp;
+    maxavail = 20 * users_per_isp;
+  }
+
 (* Outstanding-request state for the §4.3 buy/sell exchanges.  [span]
    is the trace span opened at the request, closed by the reply. *)
 type pending = { nonce : int64; amount : Epenny.amount; span : int }

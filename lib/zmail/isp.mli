@@ -66,6 +66,18 @@ val default_config :
     bounds 200/5000, initial pool 1000, buy/sell 1000, hardened,
     honest. *)
 
+val scale_pools : users_per_isp:int -> config -> config
+(** The population-scale overrides the Zipf-workload experiments share.
+    The zombie throttle moves out of the way ([daily_limit] 1M): a Zipf
+    head sender would otherwise saturate the default 500/day and the
+    run would measure the throttle, not the economics.  The default
+    pool bounds are sized for toy worlds, so they scale with the
+    population: initial pool [2u], [minavail] [u], [buy_amount] [5u],
+    [maxavail] [20u] for [u = users_per_isp].  That is lean enough that
+    heavy-sender ISPs keep crossing [minavail], so the §4.3 buy/sell
+    loop stays live, and each refill is population-sized, so a blocked
+    send means the kernel said no, not that the pool ran dry. *)
+
 type t
 
 val create : ?disk:Sim.Disk.t -> ?wal_group:int -> Sim.Rng.t -> config -> t

@@ -55,18 +55,25 @@ type cross_msg = {
   dst_user : int;
 }
 
-type shard = { group : int; world : World.t; outbox : cross_msg Queue.t }
+(* [cross_sent] is per shard: the workload bumps it from the shard's
+   own callbacks, which run on whichever domain steps the shard, so a
+   counter shared across shards would lose updates. *)
+type shard = {
+  group : int;
+  world : World.t;
+  outbox : cross_msg Queue.t;
+  mutable cross_sent : int;
+}
 
 type t = {
   cfg : config;
   shards : shard array;
-  mutable cross_sent : int;
   mutable cross_injected : int;
   mutable barriers : int;
 }
 
 let shards t = Array.map (fun s -> s.world) t.shards
-let cross_sent t = t.cross_sent
+let cross_sent t = Array.fold_left (fun acc s -> acc + s.cross_sent) 0 t.shards
 let cross_injected t = t.cross_injected
 let barriers t = t.barriers
 
@@ -77,23 +84,17 @@ let shard_seed ~seed g =
   let r = Sim.Rng.stream_n ~seed ~tag:0x9a12d g in
   Int64.to_int (Sim.Rng.int64 r) land max_int
 
-(* E17's rank-scattering stride (see e17_scale.ml). *)
-let stride_for universe =
-  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  let rec find c = if gcd c universe = 1 then c else find (c + 1) in
-  find 7919
-
-let attach_workload t shard =
-  let cfg = t.cfg in
+(* E17's workload, with a cross-group branch between the sender and
+   target draws. *)
+let attach_workload cfg shard =
   let world = shard.world in
   let engine = World.engine world in
   let rng = Sim.Engine.rng engine in
   let universe = cfg.isps_per_group * cfg.users_per_isp in
-  let stride = stride_for universe in
   let of_global g = (g / cfg.users_per_isp, g mod cfg.users_per_isp) in
-  let rank = Sim.Dist.zipf ~n:universe ~s:1.1 in
+  let senders = Sim.Workload.zipf_senders ~universe ~s:1.1 ~stride_from:7919 in
   let send () =
-    let g = (rank rng - 1) * stride mod universe in
+    let g = Sim.Workload.sender senders rng in
     if cfg.groups > 1 && Sim.Dist.bernoulli rng cfg.cross_fraction then begin
       (* Cross-shard: decided and targeted from this shard's own
          stream, so the draw sequence is identical whatever the other
@@ -115,33 +116,14 @@ let attach_workload t shard =
           dst_user;
         }
         shard.outbox;
-      t.cross_sent <- t.cross_sent + 1
+      shard.cross_sent <- shard.cross_sent + 1
     end
-    else begin
-      let tgt = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
-      let tgt = if tgt >= g then tgt + 1 else tgt in
+    else
+      let tgt = Sim.Workload.other rng ~universe g in
       ignore (World.send_email world ~from:(of_global g) ~to_:(of_global tgt) ())
-    end
   in
-  let total_sends = universe * cfg.sends_per_user in
-  let n_gen = Stdlib.min 16 total_sends in
-  let per_gen = total_sends / n_gen in
-  let rate = float_of_int per_gen /. (0.9 *. cfg.days *. day) in
-  for i = 0 to n_gen - 1 do
-    let budget = per_gen + (if i < total_sends mod n_gen then 1 else 0) in
-    let rec step remaining () =
-      if remaining > 0 then begin
-        send ();
-        ignore
-          (Sim.Engine.schedule_after engine
-             ~delay:(Sim.Dist.exponential rng ~rate)
-             (step (remaining - 1)))
-      end
-    in
-    ignore
-      (Sim.Engine.schedule_after engine ~delay:(float_of_int i *. 13.)
-         (step budget))
-  done
+  Sim.Workload.fleet engine ~total:(universe * cfg.sends_per_user)
+    ~generators:16 ~span:(cfg.days *. day) ~stagger:13. send
 
 let create cfg =
   if cfg.groups <= 0 then invalid_arg "Parworld.create: need at least one group";
@@ -166,26 +148,13 @@ let create cfg =
               retain_mail = false;
               partitions = cfg.partitions g;
               customize_isp =
-                (fun _ c ->
-                  (* Same scale adjustments as E17: no zombie throttle,
-                     population-scaled pool bounds. *)
-                  {
-                    c with
-                    Isp.daily_limit = 1_000_000;
-                    initial_avail = 2 * cfg.users_per_isp;
-                    minavail = cfg.users_per_isp;
-                    buy_amount = 5 * cfg.users_per_isp;
-                    maxavail = 20 * cfg.users_per_isp;
-                  });
+                (fun _ -> Isp.scale_pools ~users_per_isp:cfg.users_per_isp);
             }
         in
-        { group = g; world; outbox = Queue.create () })
+        { group = g; world; outbox = Queue.create (); cross_sent = 0 })
   in
-  let t =
-    { cfg; shards; cross_sent = 0; cross_injected = 0; barriers = 0 }
-  in
-  Array.iter (attach_workload t) t.shards;
-  t
+  Array.iter (attach_workload cfg) shards;
+  { cfg; shards; cross_injected = 0; barriers = 0 }
 
 (* Deliver one barrier-held message into its destination shard.  The
    receiving MTA stamps Received and runs the inbound filter
@@ -260,7 +229,7 @@ let capture t =
         (fun w () ->
           let open Persist.Codec.W in
           int w t.cfg.groups;
-          int w t.cross_sent;
+          int w (cross_sent t);
           int w t.cross_injected;
           int w t.barriers;
           Array.iter (fun s -> int w (Queue.length s.outbox)) t.shards)

@@ -79,6 +79,26 @@ let test_parworld_cross_mail_flows () =
   Alcotest.(check bool) "mail delivered" true
     (Zmail.Parworld.ham_delivered pw > 0)
 
+(* The cross-group send counter is bumped from shard callbacks, which
+   run on concurrent domains: a counter shared across shards loses
+   updates under contention, and the lost increments show up only in
+   the "parworld" capture section, a few runs in a hundred.  Many
+   repetitions of one seed turn that intermittent loss into a
+   reliable failure. *)
+let test_parworld_repeated_multi_domain () =
+  let reference, _ =
+    run_and_capture ~groups:4 ~seed:99 ~domains:1 ~partitioned:false
+  in
+  for k = 1 to 100 do
+    let domains = if k mod 2 = 0 then 4 else 2 in
+    let candidate, _ =
+      run_and_capture ~groups:4 ~seed:99 ~domains ~partitioned:false
+    in
+    if not (capture_equal reference candidate) then
+      Alcotest.failf "run %d on %d domains differs from the single-domain \
+                      capture" k domains
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Incremental snapshots                                               *)
 (* ------------------------------------------------------------------ *)
@@ -209,6 +229,8 @@ let () =
           qtest parworld_domain_law;
           Alcotest.test_case "cross mail flows" `Quick
             test_parworld_cross_mail_flows;
+          Alcotest.test_case "100 multi-domain runs == single-domain" `Quick
+            test_parworld_repeated_multi_domain;
         ] );
       ( "incremental snapshots",
         [
