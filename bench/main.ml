@@ -150,10 +150,15 @@ let bench_audit_verify =
       done
     done
   in
-  let compliant = Array.make n true in
+  let present = Array.make n true in
   Bechamel.Test.make ~name:"zmail: audit verify 20x20"
     (Bechamel.Staged.stage (fun () ->
-         ignore (Zmail.Credit.Audit.verify ~reported ~compliant)))
+         let acc = Audit.Verify.create ~expected_cells:(n * n) ~present () in
+         Array.iteri
+           (fun reporter row ->
+             Array.iteri (fun peer v -> Audit.Verify.claim acc ~reporter ~peer v) row)
+           reported;
+         ignore (Audit.Verify.violations acc)))
 
 let bench_hashcash_verify =
   let rng = Sim.Rng.create 4 in
@@ -286,45 +291,14 @@ let scale_throughput () =
     allocated /. float_of_int events,
     (Gc.stat ()).Gc.top_heap_words )
 
-(* §4.4 cross-check cost at federation scale: one full antisymmetry
-   verify over an n x n reported matrix, the exact scan the bank runs
-   per audit round.  Measured at n=100 and n=1000 so the committed
-   baselines document how the per-round cost grows with the federation
-   (the scan is O(n^2) pairs; the interesting number is the absolute
-   per-round wall cost at the sizes E18/E17 actually audit). *)
-let audit_verify_cost n =
-  let rng = Sim.Rng.create 3 in
-  let reported =
-    Array.init n (fun i ->
-        Array.init n (fun j -> if i = j then 0 else Sim.Rng.int rng 100))
-  in
-  let () =
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        reported.(j).(i) <- -reported.(i).(j)
-      done
-    done
-  in
-  let compliant = Array.make n true in
-  let iters = max 5 (2_000_000 / (n * n)) in
-  let (), seconds =
-    wall (fun () ->
-        for _ = 1 to iters do
-          ignore (Zmail.Credit.Audit.verify ~reported ~compliant)
-        done)
-  in
-  seconds /. float_of_int iters *. 1e6
-
-(* The same per-round scan on the sparse engine (lib/audit), at the
+(* §4.4 cross-check cost: one full per-round verify on the sparse
+   engine (lib/audit), the scan the bank and the federation run, at the
    constant average degree the representation targets: each ISP's row
    holds ~[degree] populated cells regardless of n, so verify cost
-   follows populated cells, not n^2.  Dense rows at n=10^4 would need
-   ~800 MB just to exist; the dense column above therefore stops at
-   10^3 and the committed baselines document the sparse 10^3 -> 10^4
-   cost ratio instead (the acceptance bar for the sparse engine is
-   <= 15x, against ~100x for a dense O(n^2) scan).  Returns the
-   per-round cost in microseconds and the accumulator's populated-cell
-   count. *)
+   follows populated cells, not n^2.  The baselines document the
+   10^3 -> 10^4 cost ratio (the acceptance bar is <= 15x, against
+   ~100x for a dense O(n^2) scan).  Returns the per-round cost in
+   microseconds and the accumulator's populated-cell count. *)
 let sparse_audit_verify_cost n =
   let degree = 64 in
   let rng = Sim.Rng.create 5 in
@@ -692,8 +666,6 @@ let run_json ~path ~obs ~full =
   let inc_isps, inc_dirty, inc_full_ms, inc_incr_ms, inc_full_b, inc_delta_b =
     snapshot_incremental ()
   in
-  let verify_100_us = audit_verify_cost 100 in
-  let verify_1000_us = audit_verify_cost 1000 in
   let sparse_1000_us, sparse_1000_cells = sparse_audit_verify_cost 1000 in
   let sparse_10000_us, sparse_10000_cells = sparse_audit_verify_cost 10_000 in
   let clear4_ms, clear4_msgs = clearing_cost 4 in
@@ -755,12 +727,11 @@ let run_json ~path ~obs ~full =
        latency_paid_p99);
   Buffer.add_string b
     (Printf.sprintf
-       "  \"audit_verify\": { \"n100_us_per_round\": %.2f, \
-        \"n1000_us_per_round\": %.2f, \"sparse\": { \
+       "  \"audit_verify\": { \"sparse\": { \
         \"n1000_us_per_round\": %.2f, \"n10000_us_per_round\": %.2f, \
         \"n1000_cells\": %d, \"n10000_cells\": %d, \
         \"ratio_1000_to_10000\": %.2f } },\n"
-       verify_100_us verify_1000_us sparse_1000_us sparse_10000_us
+       sparse_1000_us sparse_10000_us
        sparse_1000_cells sparse_10000_cells
        (sparse_10000_us /. sparse_1000_us));
   Buffer.add_string b

@@ -245,9 +245,8 @@ let present_count t =
 (* Strict-majority offenders, with no ambiguous-pair fallback: an ISP
    violating with more than half of its possible peers lied (a
    fraudulent row disagrees with nearly everyone).  This is the
-   conviction half of [Credit.Audit.suspects]; the fallback-to-
-   implicated half is investigation, not conviction, and stays with
-   the caller. *)
+   conviction half of [suspects]; the fallback-to-implicated half is
+   investigation, not conviction. *)
 let offenders ~present violations =
   let compliant_count =
     Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 present
@@ -267,3 +266,12 @@ let offenders ~present violations =
 
 let lied_volume violations =
   List.fold_left (fun acc v -> acc + abs v.discrepancy) 0 violations
+
+let implicated violations =
+  List.concat_map (fun v -> [ v.isp_a; v.isp_b ]) violations
+  |> List.sort_uniq compare
+
+let suspects ~present violations =
+  match offenders ~present violations with
+  | [] -> implicated violations
+  | offenders -> offenders

@@ -11,8 +11,10 @@
     accumulator lazily; interleaving further {!claim}s afterwards is
     legal and simply re-finalizes on the next read.
 
-    The violation record is re-exported as [Zmail.Credit.Audit.violation],
-    so sparse and dense results are interchangeable. *)
+    This is the only §4.4 engine in the library: the central bank and
+    the federation's global audit both close their rounds through it.
+    The dense O(n^2) scan it replaced survives only as the test
+    suite's reference oracle. *)
 
 type violation = {
   isp_a : int;
@@ -48,8 +50,7 @@ val populated : acc -> int
 
 val violations : acc -> violation list
 (** All pairs whose claims do not cancel, sorted by [(isp_a, isp_b)]
-    with [isp_a < isp_b] — byte-compatible with the dense
-    [Credit.Audit.verify] output order. *)
+    with [isp_a < isp_b] — the pair order of a dense row-major scan. *)
 
 val directed_claim : acc -> reporter:int -> peer:int -> int
 (** The accumulated directed claim (0 when silent). *)
@@ -65,10 +66,20 @@ val present_count : acc -> int
 
 val offenders : present:bool array -> violation list -> int list
 (** Strict-majority conviction, sorted: ISPs violating with more than
-    [(present-1)/2] peers.  Unlike [Credit.Audit.suspects] there is no
-    fallback to the implicated set — offenders are convictions, the
-    fallback is investigation, and the two must not be conflated when
-    rings are attributed. *)
+    [(present-1)/2] peers.  Unlike {!suspects} there is no fallback to
+    the implicated set — offenders are convictions, the fallback is
+    investigation, and the two must not be conflated when rings are
+    attributed. *)
+
+val implicated : violation list -> int list
+(** Sorted distinct ISPs appearing in any violation — the §4.4
+    "suspected misbehaved ISPs" for further investigation. *)
+
+val suspects : present:bool array -> violation list -> int list
+(** Majority-rule accusation: the {!offenders} when there are any (a
+    fraudulent row disagrees with nearly everyone; an honest one only
+    with the cheaters), otherwise {!implicated} (e.g. one isolated,
+    inherently ambiguous pair). *)
 
 val lied_volume : violation list -> int
 (** Sum of absolute discrepancies — the total lied volume a round must

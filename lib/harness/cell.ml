@@ -111,6 +111,3 @@ let convictions ~compliant (r : Zmail.Bank.audit_result) =
     Array.mapi (fun i c -> c && not (List.mem i r.Zmail.Bank.absent)) compliant
   in
   Audit.Verify.offenders ~present r.Zmail.Bank.violations
-
-let implicated (r : Zmail.Bank.audit_result) =
-  Zmail.Credit.Audit.implicated r.Zmail.Bank.violations

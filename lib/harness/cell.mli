@@ -105,7 +105,3 @@ val convictions : compliant:bool array -> Zmail.Bank.audit_result -> int list
     over the ISPs that were present, i.e. compliant and not in
     [r.absent].  Unlike [r.suspects] there is no fallback to the
     implicated set, which is investigation, not conviction. *)
-
-val implicated : Zmail.Bank.audit_result -> int list
-(** Every ISP named in a violating pair of the round (§4.4
-    investigation leads), sorted and distinct. *)

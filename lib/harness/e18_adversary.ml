@@ -87,7 +87,9 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   let adv_implicated =
     match behavior with
     | None -> None
-    | Some _ -> first (fun r -> List.mem adversary_isp (Cell.implicated r))
+    | Some _ ->
+        first (fun r ->
+            List.mem adversary_isp (Audit.Verify.implicated r.Zmail.Bank.violations))
   in
   let adv_convicted =
     match behavior with
@@ -102,7 +104,8 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
   in
   let honest_implicated =
     Cell.sum_rounds audits (fun r ->
-        List.length (honest_of (Cell.implicated r)))
+        List.length
+          (honest_of (Audit.Verify.implicated r.Zmail.Bank.violations)))
   in
   let c = Zmail.World.counters world in
   let link = Zmail.World.link_stats world in

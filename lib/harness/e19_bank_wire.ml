@@ -143,7 +143,8 @@ let run_cell ~tracer ~persist ~seed ~n_isps ~users_per_isp ~sends_per_user
         List.length (Cell.convictions ~compliant r))
   in
   let implicated =
-    Cell.sum_rounds audits (fun r -> List.length (Cell.implicated r))
+    Cell.sum_rounds audits (fun r ->
+        List.length (Audit.Verify.implicated r.Zmail.Bank.violations))
   in
   let residue = Zmail.World.epenny_residue world in
   if convicted > 0 then

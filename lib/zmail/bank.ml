@@ -399,21 +399,12 @@ let create ?disk rng config =
 
 type audit_result = {
   seq : int;
-  violations : Credit.Audit.violation list;
+  violations : Audit.Verify.violation list;
   suspects : int list;
   convicted : int list;
-      (** Positive convictions only: strict-majority offenders plus
-          cycle-ring members.  A subset of [suspects]; the remainder of
-          [suspects] is investigation, not conviction. *)
   rings : Audit.Cycle.ring list;
-      (** Collusion rings found by the cycle-sum detector. *)
   cleared : int list;
-      (** Honest third parties the pairwise check would have framed —
-          ring centers, removed from [suspects]. *)
   absent : int list;
-      (** ISPs the round proceeded without (unreachable at round start).
-          Never suspects by virtue of absence: unreachable is not
-          guilty. *)
 }
 
 type response =
@@ -434,6 +425,29 @@ let reply t payload =
   t.messages_out <- t.messages_out + 1;
   Reply (Wire.sign_by_bank t.secret payload)
 
+(* The round-closing verdict, shared with the federation's global
+   audit: the pairwise violations, strict-majority offenders, the
+   cycle-sum detector's collusion rings, and the attributed suspect
+   list (offenders, else everyone implicated; ring members added, ring
+   centers cleared). *)
+let verdict acc ~present ~seq ~absent =
+  let violations = Audit.Verify.violations acc in
+  let offenders = Audit.Verify.offenders ~present violations in
+  let rings =
+    Audit.Cycle.detect ~violations ~offenders
+      ~connected:(fun a b -> Audit.Verify.consistent_nonzero acc a b)
+  in
+  let suspects =
+    Audit.Cycle.attribute
+      ~suspects:(Audit.Verify.suspects ~present violations)
+      rings
+  in
+  let convicted =
+    List.sort_uniq compare (offenders @ Audit.Cycle.convicted rings)
+  in
+  { seq; violations; suspects; convicted; rings;
+    cleared = Audit.Cycle.cleared rings; absent }
+
 (* Close the round.  The pair check runs over the ISPs that actually
    reported: each reporter's row is adjusted by the carry of what its
    absent-round peers' earlier reports claimed against it, so a row
@@ -447,7 +461,8 @@ let reply t payload =
    the populated cell count, never n^2.  After the pairwise pass the
    cycle-sum detector walks the violating edges for collusion rings —
    coordinated liars whose star balances at an honest victim — and
-   attribution convicts the ring while clearing the framed center. *)
+   attribution convicts the ring while clearing the framed center
+   ([verdict]). *)
 let finish_audit t (audit : audit_state) =
   let n = t.config.n_isps in
   let present = audit.present in
@@ -470,7 +485,7 @@ let finish_audit t (audit : audit_state) =
     (fun x row ->
       Audit.Row.iter (fun y v -> Audit.Verify.claim acc ~reporter:y ~peer:x v) row)
     t.carry;
-  let violations = Audit.Verify.violations acc in
+  let result = verdict acc ~present ~seq:audit.audit_seq ~absent:audit.absent in
   for x = 0 to n - 1 do
     if present.(x) then Audit.Row.clear t.carry.(x)
   done;
@@ -491,54 +506,32 @@ let finish_audit t (audit : audit_state) =
   t.audit <- None;
   t.seq <- t.seq + 1;
   t.audits_completed <- t.audits_completed + 1;
-  let offenders = Audit.Verify.offenders ~present violations in
-  let rings =
-    Audit.Cycle.detect ~violations ~offenders
-      ~connected:(fun a b -> Audit.Verify.consistent_nonzero acc a b)
-  in
-  let pairwise =
-    match (offenders, violations) with
-    | [], [] -> []
-    | [], _ -> Credit.Audit.implicated violations
-    | _, _ -> offenders
-  in
-  let suspects = Audit.Cycle.attribute ~suspects:pairwise rings in
-  let convicted =
-    List.sort_uniq compare (offenders @ Audit.Cycle.convicted rings)
-  in
-  let cleared = Audit.Cycle.cleared rings in
   if Obs.Trace.active t.tracer then begin
+    let isps l = Obs.Trace.Str (String.concat "," (List.map string_of_int l)) in
     let ring_volume =
-      List.fold_left (fun acc (r : Audit.Cycle.ring) -> acc + r.residue) 0 rings
+      List.fold_left (fun acc (r : Audit.Cycle.ring) -> acc + r.residue) 0 result.rings
     in
     Obs.Trace.span_end t.tracer ~span:audit.span ~comp:"bank" "audit"
       ~fields:
         [ ("seq", Obs.Trace.Int audit.audit_seq);
-          ("violations", Obs.Trace.Int (List.length violations));
-          ("suspects", Obs.Trace.Int (List.length suspects));
+          ("violations", Obs.Trace.Int (List.length result.violations));
+          ("suspects", Obs.Trace.Int (List.length result.suspects));
           ("absent", Obs.Trace.Int (List.length audit.absent));
-          ("rings", Obs.Trace.Int (List.length rings));
-          ("convicted", Obs.Trace.Int (List.length convicted));
-          ("cleared", Obs.Trace.Int (List.length cleared));
-          ("lied_volume", Obs.Trace.Int (Audit.Verify.lied_volume violations));
+          ("rings", Obs.Trace.Int (List.length result.rings));
+          ("convicted", Obs.Trace.Int (List.length result.convicted));
+          ("cleared", Obs.Trace.Int (List.length result.cleared));
+          ("lied_volume", Obs.Trace.Int (Audit.Verify.lied_volume result.violations));
           ("ring_volume", Obs.Trace.Int ring_volume);
           (* Identity lists (comma-joined) so online checkers can test
              membership, not just counts.  [ring_isps] carries only the
              cycle detector's convictions: majority offenders can be
              transient (in-flight traffic at the snapshot) and are not
              held to the ring attribution's soundness bar. *)
-          ( "convicted_isps",
-            Obs.Trace.Str (String.concat "," (List.map string_of_int convicted)) );
-          ( "ring_isps",
-            Obs.Trace.Str
-              (String.concat ","
-                 (List.map string_of_int (Audit.Cycle.convicted rings))) );
-          ( "cleared_isps",
-            Obs.Trace.Str (String.concat "," (List.map string_of_int cleared)) ) ]
+          ("convicted_isps", isps result.convicted);
+          ("ring_isps", isps (Audit.Cycle.convicted result.rings));
+          ("cleared_isps", isps result.cleared) ]
   end;
-  Audit_complete
-    { seq = audit.audit_seq; violations; suspects; convicted; rings; cleared;
-      absent = audit.absent }
+  Audit_complete result
 
 let on_payload t ~from_isp payload =
   match (payload : Wire.payload) with

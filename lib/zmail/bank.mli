@@ -81,7 +81,7 @@ val outstanding_epennies : t -> Epenny.amount
 
 type audit_result = {
   seq : int;
-  violations : Credit.Audit.violation list;
+  violations : Audit.Verify.violation list;
   suspects : int list;
       (** ISPs violating with a strict majority of their possible
           peers — cheaters disagree with (nearly) everyone, honest
@@ -110,6 +110,14 @@ type audit_result = {
           against the cumulative row they report after the partition
           heals. *)
 }
+
+val verdict :
+  Audit.Verify.acc -> present:bool array -> seq:int -> absent:int list ->
+  audit_result
+(** Close a §4.4 round over a fully fed claim accumulator: violations,
+    strict-majority offenders over [present], the cycle detector's
+    rings and the attributed suspect sets.  The bank's rounds and the
+    federation's global audit both close here. *)
 
 type response =
   | Reply of Wire.signed  (** Send this back to the originating ISP. *)

@@ -19,7 +19,6 @@
    of that size unrepresentable. *)
 
 module Row = Audit.Row
-module Sparse = Audit.Verify
 
 type t = {
   n : int;
@@ -147,8 +146,6 @@ let report_row t ~seq =
   List.iter (fun (e, row) -> if e <= seq then Row.add_row snap row) t.early;
   snap
 
-let snapshot_upto t ~seq = Row.to_dense (report_row t ~seq)
-
 let report_upto t ~seq = Row.pairs (report_row t ~seq)
 
 let populated t = Row.cardinal t.now
@@ -209,50 +206,3 @@ let restore_state r t =
         let row = Row.restore r ~n:t.n in
         (s, row))
       r
-
-(* The dense reference verifier.  [Audit.Verify] (the sparse engine in
-   lib/audit) is what the bank runs at scale; this O(n^2) scan is kept
-   as the executable specification the property tests compare it
-   against, and for the small dense matrices of the federation path.
-   The violation record is one and the same type. *)
-module Audit = struct
-  type violation = Sparse.violation = {
-    isp_a : int;
-    isp_b : int;
-    discrepancy : int;
-  }
-
-  let verify ~reported ~compliant =
-    let n = Array.length compliant in
-    if Array.length reported <> n then
-      invalid_arg "Credit.Audit.verify: reported size mismatch";
-    Array.iteri
-      (fun i row ->
-        if compliant.(i) && Array.length row <> n then
-          invalid_arg
-            (Printf.sprintf "Credit.Audit.verify: row %d has length %d, expected %d"
-               i (Array.length row) n))
-      reported;
-    let violations = ref [] in
-    for a = 0 to n - 1 do
-      for b = a + 1 to n - 1 do
-        if compliant.(a) && compliant.(b) then begin
-          let discrepancy = reported.(a).(b) + reported.(b).(a) in
-          if discrepancy <> 0 then
-            violations := { isp_a = a; isp_b = b; discrepancy } :: !violations
-        end
-      done
-    done;
-    List.rev !violations
-
-  let implicated violations =
-    List.concat_map (fun v -> [ v.isp_a; v.isp_b ]) violations
-    |> List.sort_uniq compare
-
-  let suspects ~compliant violations =
-    let offenders = Sparse.offenders ~present:compliant violations in
-    match (offenders, violations) with
-    | [], [] -> []
-    | [], _ -> implicated violations
-    | offenders, _ -> offenders
-end

@@ -9,10 +9,9 @@
     The vector is backed by a sparse row ({!Audit.Row}): storage and
     reporting cost scale with the ISP's actual traffic partners, not
     with the world size, which is what makes 10^4-ISP audits
-    representable.  The dense [int array] views ({!snapshot},
-    {!snapshot_upto}) are retained for small-world tests and the
-    federation path; the serving path reports sparsely via
-    {!report_upto}. *)
+    representable.  The dense {!snapshot} view is retained for
+    small-world inspection; audit rows go on the wire sparsely via
+    {!report_upto}, and the check itself is {!Audit.Verify}. *)
 
 type t
 (** A mutable credit vector over [n] peers. *)
@@ -80,26 +79,20 @@ val snapshot : t -> int array
 (** Copy of the current-period vector (buffered early receives are
     excluded — they belong to later snapshots). *)
 
-val snapshot_upto : t -> seq:int -> int array
-(** The cumulative row answering audit round [seq]: the current-period
-    vector plus every buffered receive stamped with epoch [<= seq].
-    When the ISP has not missed a round this is exactly {!snapshot};
-    after missing rounds it is the row covering all of them at once,
-    which the bank reconciles against its carry of the peers' earlier
-    reports.  Pure — pair with {!reset_upto}. *)
-
 val report_upto : t -> seq:int -> (int * int) array
-(** The same cumulative row as {!snapshot_upto}, in canonical sparse
-    form: non-zero [(peer, count)] cells sorted by peer.  This is what
-    an honest ISP puts on the audit wire — O(traffic partners), never
-    O(n). *)
+(** The cumulative row answering audit round [seq] — the current
+    period plus every buffered receive stamped [<= seq], so after
+    missed rounds it covers all of them at once (the bank reconciles it
+    against its carry) — as non-zero [(peer, count)] cells sorted by
+    peer: what an honest ISP puts on the audit wire.  Pure — pair with
+    {!reset_upto}. *)
 
 val populated : t -> int
 (** Number of non-zero cells in the current-period vector. *)
 
 val reset_upto : t -> seq:int -> unit
 (** Close the period(s) answering audit round [seq] (§4.4): buffered
-    receives stamped [<= seq] are discarded (the {!snapshot_upto} row
+    receives stamped [<= seq] are discarded (the {!report_upto} row
     reported them), epoch [seq+1] becomes the fresh current period, and
     later epochs stay buffered. *)
 
@@ -114,34 +107,3 @@ val restore_state : Persist.Codec.R.t -> t -> unit
     (snapshot v5): equal vectors encode to identical bytes.  The tracer
     binding is wiring, not state, and is untouched.  Restore raises
     [Persist.Codec.Corrupt] on an out-of-range peer or malformed row. *)
-
-(** The dense reference verifier.  At scale the bank runs the sparse
-    engine ({!Audit.Verify} in [lib/audit]); this O(n^2) scan over
-    dense matrices is the executable specification the property tests
-    compare it against, and serves the federation's small dense path.
-    [violation] is the {e same type} as [Audit.Verify.violation], so
-    results from either engine mix freely. *)
-module Audit : sig
-  type violation = Audit.Verify.violation = {
-    isp_a : int;
-    isp_b : int;
-    discrepancy : int;  (** [credit_a(b) + credit_b(a)], non-zero. *)
-  }
-
-  val verify : reported:int array array -> compliant:bool array -> violation list
-  (** [reported.(i)] is ISP [i]'s snapshot (rows for non-compliant ISPs
-      are ignored).  Returns all inconsistent compliant pairs with
-      [isp_a < isp_b].
-      @raise Invalid_argument on ragged input. *)
-
-  val implicated : violation list -> int list
-  (** Sorted distinct ISPs appearing in any violation — the §4.4
-      "suspected misbehaved ISPs" for further investigation. *)
-
-  val suspects : compliant:bool array -> violation list -> int list
-  (** Majority-rule accusation: an ISP is a suspect when it violates
-      with a strict majority of its possible peers (a fraudulent array
-      disagrees with nearly everyone; an honest one only with the
-      cheaters).  Falls back to {!implicated} when nobody crosses the
-      threshold (e.g. one isolated, inherently ambiguous pair). *)
-end

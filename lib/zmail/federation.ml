@@ -46,10 +46,15 @@ type member_bank = {
   mutable members : int;
 }
 
+(* A global round: [replied.(i)] marks the ISPs whose row is already
+   in the claim accumulator, [pending] counts the compliant ISPs still
+   outstanding.  Rows go straight into the same sparse engine the bank
+   runs, so a round costs O(populated cells), not O(n^2). *)
 type audit_state = {
   audit_seq : int;
-  mutable waiting : int list;
-  reported : int array array;
+  replied : bool array;
+  mutable pending : int;
+  acc : Audit.Verify.acc;
 }
 
 type t = {
@@ -246,8 +251,9 @@ let start_audit t =
     Some
       {
         audit_seq = t.seq;
-        waiting = targets;
-        reported = Array.make_matrix t.config.n_isps t.config.n_isps 0;
+        replied = Array.make t.config.n_isps false;
+        pending = List.length targets;
+        acc = Audit.Verify.create ~present:t.config.compliant ();
       };
   List.map
     (fun isp ->
@@ -266,69 +272,43 @@ let on_audit_reply t ~from_isp sealed =
         let bank = t.banks.(home) in
         match Wire.open_at_bank bank.secret sealed with
         | Some (Wire.Audit_reply { isp; seq; credit })
-          when isp = from_isp && seq = audit.audit_seq && List.mem isp audit.waiting ->
-            (* The wire row is sparse; the federation's global matrix
-               stays dense (it is small — a handful of member banks'
-               worth of ISPs — and [bank_suspects] reasons over whole
-               blocks of it).  Out-of-range cells in a malformed row
-               count for nothing. *)
-            let dense = Array.make t.config.n_isps 0 in
+          when isp = from_isp && seq = audit.audit_seq && not audit.replied.(isp) ->
+            (* Malformed cells (out of range, self, overflowing) count
+               for nothing, as at the bank. *)
             Array.iter
-              (fun (p, v) ->
-                if p >= 0 && p < t.config.n_isps then dense.(p) <- dense.(p) + v)
+              (fun (peer, v) -> Audit.Verify.claim audit.acc ~reporter:isp ~peer v)
               credit;
-            (* A [Lie_in_audit] home bank rewrites its own members'
-               rows against foreign-homed peers before merging them
-               into the global matrix: every cross-bank pair involving
-               its members breaks antisymmetry, while intra-bank pairs
-               stay clean — the block signature [bank_suspects]
-               detects. *)
-            let credit =
-              match t.config.behaviors.(home) with
-              | Lie_in_audit d ->
-                  Array.mapi
-                    (fun peer v ->
-                      if
-                        peer <> isp && t.config.compliant.(peer)
-                        && t.config.home.(peer) <> home
-                      then v + d
-                      else v)
-                    dense
-              | Honest_bank | Over_issue _ | Skim_position _ -> dense
-            in
-            audit.reported.(isp) <- credit;
-            audit.waiting <- List.filter (fun i -> i <> isp) audit.waiting;
-            if audit.waiting = [] then begin
-              let violations =
-                Credit.Audit.verify ~reported:audit.reported
-                  ~compliant:t.config.compliant
+            (* A [Lie_in_audit] home bank adds its delta to its own
+               members' claims against every foreign-homed peer before
+               they reach the global check: every cross-bank pair
+               involving its members breaks antisymmetry, while
+               intra-bank pairs stay clean — the block signature
+               [bank_suspects] detects. *)
+            (match t.config.behaviors.(home) with
+            | Lie_in_audit d ->
+                for peer = 0 to t.config.n_isps - 1 do
+                  if t.config.home.(peer) <> home then
+                    Audit.Verify.claim audit.acc ~reporter:isp ~peer d
+                done
+            | Honest_bank | Over_issue _ | Skim_position _ -> ());
+            audit.replied.(isp) <- true;
+            audit.pending <- audit.pending - 1;
+            if audit.pending > 0 then Ok None
+            else begin
+              (* A federation round addresses every member
+                 synchronously; there is no quorum path here. *)
+              let result =
+                Bank.verdict audit.acc ~present:t.config.compliant
+                  ~seq:audit.audit_seq ~absent:[]
               in
               t.audit <- None;
               t.seq <- t.seq + 1;
               t.audits_completed <- t.audits_completed + 1;
               ev t "audit_complete"
                 [ ("seq", Obs.Trace.Int audit.audit_seq);
-                  ("violations", Obs.Trace.Int (List.length violations)) ];
-              Ok
-                (Some
-                   {
-                     Bank.seq = audit.audit_seq;
-                     violations;
-                     suspects =
-                       Credit.Audit.suspects ~compliant:t.config.compliant violations;
-                     convicted =
-                       Audit.Verify.offenders ~present:t.config.compliant violations;
-                     (* The federation path keeps pairwise attribution
-                        only: its Byzantine layer is the member banks
-                        ([bank_suspects]), not colluding ISPs. *)
-                     rings = [];
-                     cleared = [];
-                     (* A federation round addresses every member
-                        synchronously; there is no quorum path here. *)
-                     absent = [];
-                   })
+                  ("violations", Obs.Trace.Int (List.length result.Bank.violations)) ];
+              Ok (Some result)
             end
-            else Ok None
         | Some (Wire.Audit_reply _) -> Error "stale, duplicate or misattributed reply"
         | Some _ -> Error "not an audit reply"
         | None -> Error "unreadable (wrong bank, forged or corrupted)")
@@ -342,7 +322,7 @@ let on_audit_reply t ~from_isp sealed =
    indistinguishable anyway). *)
 let bank_suspects t (result : Bank.audit_result) =
   let home i = t.config.home.(i) in
-  let cross (v : Credit.Audit.violation) = home v.isp_a <> home v.isp_b in
+  let cross (v : Audit.Verify.violation) = home v.isp_a <> home v.isp_b in
   List.filter
     (fun b ->
       let members =
@@ -355,13 +335,13 @@ let bank_suspects t (result : Bank.audit_result) =
       let broken_cross =
         List.length
           (List.filter
-             (fun (v : Credit.Audit.violation) ->
+             (fun (v : Audit.Verify.violation) ->
                cross v && (home v.isp_a = b || home v.isp_b = b))
              result.violations)
       in
       let broken_intra =
         List.exists
-          (fun (v : Credit.Audit.violation) ->
+          (fun (v : Audit.Verify.violation) ->
             (not (cross v)) && home v.isp_a = b)
           result.violations
       in
@@ -373,13 +353,12 @@ let bank_suspects t (result : Bank.audit_result) =
    genuinely cheating member) survive the filter. *)
 let suspects_excluding_banks t (result : Bank.audit_result) ~banks =
   let home i = t.config.home.(i) in
-  let explained (v : Credit.Audit.violation) =
+  let explained (v : Audit.Verify.violation) =
     home v.isp_a <> home v.isp_b
     && (List.mem (home v.isp_a) banks || List.mem (home v.isp_b) banks)
   in
   let remaining = List.filter (fun v -> not (explained v)) result.violations in
-  if remaining = [] then []
-  else Credit.Audit.suspects ~compliant:t.config.compliant remaining
+  Audit.Verify.suspects ~present:t.config.compliant remaining
 
 (* ------------------------------------------------------------------ *)
 (* Clearing statements                                                 *)

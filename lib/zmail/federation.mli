@@ -12,10 +12,11 @@
 
     - {b Global audits.}  Credit consistency is a property of ISP
       {e pairs}, which may be homed to different banks.  The federation
-      gathers every member bank's collected credit rows and runs the
-      §4.4 verification over the global matrix.  (These rounds address
-      every member synchronously and never use a member bank's
-      partition-carry matrix — see {!Bank.start_audit}.)
+      feeds every member bank's collected credit rows into one sparse
+      claim accumulator ({!Audit.Verify}) and closes the round through
+      {!Bank.verdict}, the same §4.4 rule a single bank applies.
+      (These rounds address every member synchronously and never use a
+      member bank's partition-carry matrix — see {!Bank.start_audit}.)
     - {b Clearing.}  E-pennies issued by bank A migrate inside email to
       ISPs homed at bank B, whose buy-backs then pay out cash B never
       collected.  Each bank's {!position} drifts accordingly; {!settle}
@@ -59,8 +60,8 @@ type bank_behavior =
           Self-consistent, but contradicted by what the bank's own
           members attest to having deposited. *)
   | Lie_in_audit of int
-      (** Add this delta to each own-member audit row entry against
-          foreign-homed peers before merging into the global matrix.
+      (** Add this delta to each own-member audit claim against every
+          foreign-homed peer before it reaches the global check.
           Breaks antisymmetry on {e every} cross-bank pair involving
           its members while intra-bank pairs stay clean — the block
           signature {!bank_suspects} detects; {!suspects_excluding_banks}
@@ -140,8 +141,9 @@ val on_audit_reply : t -> from_isp:int -> Toycrypto.Seal.sealed ->
   (Bank.audit_result option, string) result
 (** Feed one ISP's sealed snapshot to its home bank.  [Ok None] while
     replies are outstanding; [Ok (Some result)] when the last reply
-    completes the {e global} pairwise verification.  A {!Lie_in_audit}
-    home bank tampers its members' rows here, before the merge. *)
+    completes the {e global} verification, closed by {!Bank.verdict}
+    with no absentees.  A second reply from the same ISP is refused.  A
+    {!Lie_in_audit} home bank tampers its members' claims here. *)
 
 val audit_in_progress : t -> bool
 

@@ -142,6 +142,9 @@ type t = {
   up : bool array;  (* false while an ISP is crashed *)
   crash_gen : int array;  (* bumped per crash; invalidates stale timers *)
   mutable bank_up : bool;  (* false while the bank is crashed *)
+  latest_reply : (int * Toycrypto.Seal.sealed) option array;
+      (* Per ISP: the round and sealed row of its newest audit reply —
+         every retransmission of that round's reply sends this. *)
   (* Last known-good durable image per ISP, the fallback when a WAL
      recovery reports a corrupt log; filled lazily (crash paths only)
      so worlds that never crash pay nothing. *)
@@ -433,15 +436,27 @@ and bank_message_to_isp t i signed =
                    let reply = Isp.thaw kernel in
                    Log.debug (fun m ->
                        m "t=%.0f isp %d thawed, reporting" (Sim.Engine.now t.engine) i);
-                   let still () = Bank.awaits t.the_bank ~seq i in
-                   retry_loop t
-                     ~send:(fun () ->
-                       if t.up.(i) then
-                         to_bank t ~kind:Adversary.Bank_wire.Audit_reply_msg i
-                           reply)
-                     ~still ~timeout:t.cfg.retry_timeout;
+                   report_audit t i ~seq reply
+                     ~still:(fun () -> Bank.awaits t.the_bank ~seq i);
                    flush_deferred t i
                  end)))
+
+(* Send ISP [i]'s round-[seq] audit reply until [still] reports it
+   moot.  An amendment (a late receive folded into the answered row)
+   supersedes the earlier reply, and the bank keeps the last row it
+   receives, so every retransmission of any loop for the round sends
+   the newest row: a stale copy landing after a newer one — as happens
+   when both queue up behind a bank crash — would otherwise revert the
+   amendment and leave the round one-sided. *)
+and report_audit t i ~seq reply ~still =
+  t.latest_reply.(i) <- Some (seq, reply);
+  retry_loop t
+    ~send:(fun () ->
+      match t.latest_reply.(i) with
+      | Some (s, latest) when s = seq && t.up.(i) ->
+          to_bank t ~kind:Adversary.Bank_wire.Audit_reply_msg i latest
+      | Some _ | None -> ())
+    ~still ~timeout:t.cfg.retry_timeout
 
 and flush_deferred t i =
   let queue = t.deferred.(i) in
@@ -1060,6 +1075,7 @@ let create cfg =
       up = Array.make cfg.n_isps true;
       crash_gen = Array.make cfg.n_isps 0;
       bank_up = true;
+      latest_reply = Array.make cfg.n_isps None;
       last_good = Array.make cfg.n_isps None;
       link =
         {
@@ -1116,12 +1132,7 @@ let create cfg =
                  in
                  still ()
                  && begin
-                      retry_loop t
-                        ~send:(fun () ->
-                          if t.up.(i) then
-                            to_bank t ~kind:Adversary.Bank_wire.Audit_reply_msg
-                              i reply)
-                        ~still ~timeout:t.cfg.retry_timeout;
+                      report_audit t i ~seq reply ~still;
                       true
                     end))
       | None -> ())
@@ -1423,10 +1434,10 @@ let encode_audit_result w (ar : Bank.audit_result) =
   let open Persist.Codec.W in
   int w ar.Bank.seq;
   list
-    (fun w (v : Credit.Audit.violation) ->
-      int w v.Credit.Audit.isp_a;
-      int w v.Credit.Audit.isp_b;
-      int w v.Credit.Audit.discrepancy)
+    (fun w (v : Audit.Verify.violation) ->
+      int w v.isp_a;
+      int w v.isp_b;
+      int w v.discrepancy)
     w ar.Bank.violations;
   list int w ar.Bank.suspects;
   list int w ar.Bank.convicted;

@@ -3,7 +3,8 @@
    These are the original straightforward codecs the production modules
    were rewritten from: SipHash-2-4 over closure-captured Int64 state,
    XTEA-CBC over Int64 blocks with the key schedule recomputed every
-   round, and the Printf/split_on_char text codec of [Zmail.Wire].  They
+   round, the Printf/split_on_char text codec of [Zmail.Wire], and the
+   dense O(n^2) §4.4 pair scan the sparse [Audit.Verify] replaced.  They
    are slow and allocate freely, which is the point: each is short
    enough to check against its specification by eye, and the
    differential laws in the test suites hold the fast versions to them
@@ -254,4 +255,24 @@ module Wire_text = struct
         | Some xfer_id -> Ok (Transfer_ack { xfer_id })
         | None -> fail ())
     | _ -> fail ()
+end
+
+(* The §4.4 check straight from its definition: every compliant pair
+   [a < b] whose dense rows fail [reported.(a).(b) + reported.(b).(a) = 0],
+   in row-major order.  Rows of non-compliant ISPs are never read. *)
+module Audit = struct
+  let verify ~reported ~compliant : Audit.Verify.violation list =
+    let n = Array.length compliant in
+    if Array.length reported <> n then invalid_arg "Reference.Audit.verify: size mismatch";
+    let violations = ref [] in
+    for a = 0 to n - 1 do
+      for b = a + 1 to n - 1 do
+        if compliant.(a) && compliant.(b) then begin
+          let discrepancy = reported.(a).(b) + reported.(b).(a) in
+          if discrepancy <> 0 then
+            violations := { Audit.Verify.isp_a = a; isp_b = b; discrepancy } :: !violations
+        end
+      done
+    done;
+    List.rev !violations
 end

@@ -186,6 +186,131 @@ let test_audit_reply_validation () =
   | Zmail.Federation.Rejected _ -> ()
   | Zmail.Federation.Reply _ -> Alcotest.fail "wrong entry point must reject"
 
+let audit_reply t ~isp ~seq credit =
+  seal_to t ~isp (Zmail.Wire.Audit_reply { isp; seq; credit })
+
+let expect_progress t ~isp reply =
+  match Zmail.Federation.on_audit_reply t ~from_isp:isp reply with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.failf "round closed early at ISP %d's reply" isp
+  | Error e -> Alcotest.failf "ISP %d's reply refused: %s" isp e
+
+let expect_close t ~isp reply =
+  match Zmail.Federation.on_audit_reply t ~from_isp:isp reply with
+  | Ok (Some r) -> r
+  | Ok None -> Alcotest.failf "round still open after ISP %d's reply" isp
+  | Error e -> Alcotest.failf "ISP %d's reply refused: %s" isp e
+
+(* A second reply from the same ISP is refused and must not count
+   toward closing the round: with it counted, two replies from ISP 0
+   plus one from ISP 1 would close a three-ISP round without ISP 2. *)
+let test_duplicate_reply_refused () =
+  let _, t = make ~n_isps:3 () in
+  ignore (Zmail.Federation.start_audit t);
+  let row0 = audit_reply t ~isp:0 ~seq:0 [| (1, 2) |] in
+  expect_progress t ~isp:0 row0;
+  (match Zmail.Federation.on_audit_reply t ~from_isp:0 row0 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "duplicate reply must be refused");
+  expect_progress t ~isp:1 (audit_reply t ~isp:1 ~seq:0 [| (0, -2) |]);
+  Alcotest.(check bool) "still open" true (Zmail.Federation.audit_in_progress t);
+  let r = expect_close t ~isp:2 (audit_reply t ~isp:2 ~seq:0 [||]) in
+  Alcotest.(check int) "first row kept, books agree" 0
+    (List.length r.Zmail.Bank.violations)
+
+(* The round closes on the last compliant ISP's reply — not before,
+   and a non-compliant ISP is neither awaited nor heard. *)
+let test_closes_on_last_compliant () =
+  let _, t =
+    make ~n_isps:4
+      ~f:(fun c -> { c with Zmail.Federation.compliant = [| true; false; true; true |] })
+      ()
+  in
+  let requests = Zmail.Federation.start_audit t in
+  Alcotest.(check (list int)) "requests for compliant ISPs" [ 0; 2; 3 ]
+    (List.map fst requests);
+  expect_progress t ~isp:0 (audit_reply t ~isp:0 ~seq:0 [| (3, 1) |]);
+  expect_progress t ~isp:2 (audit_reply t ~isp:2 ~seq:0 [||]);
+  (match
+     Zmail.Federation.on_audit_reply t ~from_isp:1 (audit_reply t ~isp:1 ~seq:0 [||])
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "non-compliant reply must be refused");
+  Alcotest.(check bool) "open until the last" true (Zmail.Federation.audit_in_progress t);
+  let r = expect_close t ~isp:3 (audit_reply t ~isp:3 ~seq:0 [| (0, -1) |]) in
+  Alcotest.(check int) "round seq" 0 r.Zmail.Bank.seq;
+  Alcotest.(check bool) "closed" false (Zmail.Federation.audit_in_progress t);
+  Alcotest.(check int) "one round completed" 1
+    (Zmail.Federation.stats t).Zmail.Federation.audits_completed
+
+(* The federation's sparse verdict equals the dense reference scan of
+   the merged matrix, with each [Lie_in_audit] bank's delta added to
+   its members' cells against every compliant foreign-homed peer.
+   Rows are random sparse cells (duplicates, self-cells and
+   out-of-range peers included); every behavior is tried at bank 0,
+   the other banks drawing theirs at random. *)
+let federation_matches_dense =
+  let kinds = [ `Honest; `Over; `Skim; `Lie ] in
+  QCheck.Test.make ~name:"federation verdict = dense reference scan" ~count:100
+    QCheck.(triple (int_range 2 8) (int_range 1 3) small_nat)
+    (fun (n_isps, n_banks, seed) ->
+      let rng = Sim.Rng.create (seed + 91) in
+      let behavior kind =
+        let d = 1 + Sim.Rng.int rng 5 in
+        match kind with
+        | `Honest -> Zmail.Federation.Honest_bank
+        | `Over -> Zmail.Federation.Over_issue d
+        | `Skim -> Zmail.Federation.Skim_position d
+        | `Lie -> Zmail.Federation.Lie_in_audit (if Sim.Rng.bool rng then d else -d)
+      in
+      let compliant = Array.init n_isps (fun i -> i = 0 || Sim.Rng.int rng 4 > 0) in
+      let rows =
+        Array.init n_isps (fun _ ->
+            Array.init (Sim.Rng.int rng (n_isps + 2)) (fun _ ->
+                (Sim.Rng.int rng (n_isps + 1), Sim.Rng.int rng 11 - 5)))
+      in
+      List.for_all
+        (fun kind ->
+          let behaviors =
+            Array.init n_banks (fun b ->
+                behavior (if b = 0 then kind else List.nth kinds (Sim.Rng.int rng 4)))
+          in
+          let cfg, t =
+            make ~n_banks ~n_isps
+              ~f:(fun c -> { c with Zmail.Federation.compliant; behaviors })
+              ()
+          in
+          let reported = Array.make_matrix n_isps n_isps 0 in
+          Array.iteri
+            (fun i row ->
+              Array.iter
+                (fun (p, v) -> if p < n_isps then reported.(i).(p) <- reported.(i).(p) + v)
+                row;
+              let home = cfg.Zmail.Federation.home.(i) in
+              match behaviors.(home) with
+              | Zmail.Federation.Lie_in_audit d ->
+                  Array.iteri
+                    (fun p _ ->
+                      if p <> i && compliant.(p) && cfg.Zmail.Federation.home.(p) <> home
+                      then reported.(i).(p) <- reported.(i).(p) + d)
+                    reported.(i)
+              | _ -> ())
+            rows;
+          let result = ref None in
+          List.iter
+            (fun (i, _) ->
+              match
+                Zmail.Federation.on_audit_reply t ~from_isp:i
+                  (audit_reply t ~isp:i ~seq:0 rows.(i))
+              with
+              | Ok r -> if r <> None then result := r
+              | Error e -> failwith e)
+            (Zmail.Federation.start_audit t);
+          match !result with
+          | Some r -> r.Zmail.Bank.violations = Reference.Audit.verify ~reported ~compliant
+          | None -> false)
+        kinds)
+
 let test_single_bank_degenerate () =
   (* n_banks = 1 behaves like the plain protocol: positions are always
      zero. *)
@@ -228,6 +353,11 @@ let () =
           Alcotest.test_case "global audit with kernels" `Quick
             test_global_audit_with_kernels;
           Alcotest.test_case "reply validation" `Quick test_audit_reply_validation;
+          Alcotest.test_case "duplicate reply refused" `Quick
+            test_duplicate_reply_refused;
+          Alcotest.test_case "closes on last compliant reply" `Quick
+            test_closes_on_last_compliant;
+          QCheck_alcotest.to_alcotest federation_matches_dense;
         ] );
       ( "config",
         [ Alcotest.test_case "validation" `Quick test_config_validation ] );

@@ -269,6 +269,75 @@ let test_crashpoint_sweep () =
   in
   Alcotest.(check bool) "sweep is deterministic" true (r = r')
 
+(* Regression: a bank crash while an audit round is open must not
+   convict an honest ISP.  The world is the 4-ISP crash-sweep
+   scenario (WAL-backed kernels and bank, a dropping/duplicating bank
+   link, lean pools, a resident cheater at ISP 1) with its Poisson
+   schedule rebuilt here from seed 1.  At crash point 805 the bank goes
+   down just as ISPs answer round 2; while it is down ISPs 1 and 2 fold
+   late receives into their answered rows, each fold queueing another
+   retransmission of the reply.  After recovery an older copy of a
+   reply used to land after a newer one — the bank keeps the last row
+   it receives — leaving the round one-sided and honest ISP 0
+   convicted.  Every retransmission now sends the ISP's latest row. *)
+let test_crash_stale_audit_reply () =
+  let n_isps = 4 and users_per_isp = 10 and days = 1.2 in
+  let universe = n_isps * users_per_isp and n = 460 in
+  let rng = Sim.Rng.stream ~seed:1 ~tag:0xc5a5 in
+  let rate = float_of_int n /. (0.9 *. days *. Sim.Engine.day) in
+  let clock = ref 0. in
+  let at =
+    Array.init n (fun _ ->
+        clock := !clock +. Sim.Dist.exponential rng ~rate;
+        !clock)
+  in
+  let src = Array.init n (fun _ -> Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 1)) in
+  let dst =
+    Array.map
+      (fun g ->
+        let t = Sim.Dist.uniform_int rng ~lo:0 ~hi:(universe - 2) in
+        if t >= g then t + 1 else t)
+      src
+  in
+  let user g = (g / users_per_isp, g mod users_per_isp) in
+  let build () =
+    let world =
+      Zmail.World.create
+        {
+          (Zmail.World.default_config ~n_isps ~users_per_isp) with
+          Zmail.World.seed = 1;
+          audit_period = Some (6. *. Sim.Engine.hour);
+          disk = Some (Sim.Disk.plan ~torn:0.6 ~rot:0.3 ());
+          wal_group = 8;
+          bank_fault =
+            Sim.Fault.plan ~drop:0.08 ~duplicate:0.08 ~delay_prob:0.08 ~delay_max:5. ();
+          customize_isp =
+            (fun i cfg ->
+              let cfg =
+                { cfg with Zmail.Isp.initial_avail = 150; minavail = 200; buy_amount = 300 }
+              in
+              if i = 1 then { cfg with Zmail.Isp.cheat = Zmail.Isp.Fake_receives 2 } else cfg);
+        }
+    in
+    ignore (Zmail.World.attach_invariants world);
+    let engine = Zmail.World.engine world in
+    let rec fire k () =
+      ignore (Zmail.World.send_email world ~from:(user src.(k)) ~to_:(user dst.(k)) ());
+      if k + 1 < n then ignore (Sim.Engine.schedule engine ~at:at.(k + 1) (fire (k + 1)))
+    in
+    ignore (Sim.Engine.schedule engine ~at:at.(0) (fire 0));
+    world
+  in
+  let r =
+    Harness.Crashpoint.crash_run ~build ~days ~downtime:Sim.Engine.hour
+      ~honest:(fun i -> i <> 1)
+      ~point:805 ~victim:Harness.Crashpoint.Bank ()
+  in
+  Alcotest.(check bool) "bank crashed" true r.Harness.Crashpoint.crashed;
+  Alcotest.(check bool) "bank recovered" true r.Harness.Crashpoint.recovered;
+  Alcotest.(check bool) "conserved" true r.Harness.Crashpoint.conserved;
+  Alcotest.(check int) "no honest conviction" 0 r.Harness.Crashpoint.false_convictions
+
 let () =
   Alcotest.run "harness"
     [
@@ -292,5 +361,7 @@ let () =
           Alcotest.test_case "e7 runs" `Slow test_e7_runs;
           Alcotest.test_case "e17 scale runs" `Slow test_e17_scale_runs;
           Alcotest.test_case "crashpoint sweep" `Quick test_crashpoint_sweep;
+          Alcotest.test_case "bank crash: no stale audit reply" `Quick
+            test_crash_stale_audit_reply;
         ] );
     ]

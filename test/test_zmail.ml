@@ -46,7 +46,7 @@ let test_credit_vector () =
 
 (* The epoch ladder behind partition-tolerant audits: receives may
    arrive several audit epochs ahead (the sender healed from a long
-   partition), [snapshot_upto ~seq] reports the cumulative row through
+   partition), [report_upto ~seq] reports the cumulative row through
    epoch [seq], and [reset_upto ~seq] promotes exactly epoch [seq+1]
    while keeping later buckets buffered. *)
 let test_credit_epoch_ladder () =
@@ -56,14 +56,14 @@ let test_credit_epoch_ladder () =
   Zmail.Credit.record_receive_early c ~epoch:3 ~peer:2;
   Zmail.Credit.record_receive_early c ~epoch:1 ~peer:0;
   (* Cumulative row through seq 0 sees only the current period... *)
-  Alcotest.(check (array int)) "upto 0" [| 0; 1; 0 |]
-    (Zmail.Credit.snapshot_upto c ~seq:0);
+  let cells = Alcotest.(array (pair int int)) in
+  Alcotest.check cells "upto 0" [| (1, 1) |] (Zmail.Credit.report_upto c ~seq:0);
   (* ...through seq 1 adds the epoch-1 bucket... *)
-  Alcotest.(check (array int)) "upto 1" [| -1; 1; -1 |]
-    (Zmail.Credit.snapshot_upto c ~seq:1);
+  Alcotest.check cells "upto 1" [| (0, -1); (1, 1); (2, -1) |]
+    (Zmail.Credit.report_upto c ~seq:1);
   (* ...and through seq 3 everything (epoch 2 is an empty rung). *)
-  Alcotest.(check (array int)) "upto 3" [| -1; 1; -2 |]
-    (Zmail.Credit.snapshot_upto c ~seq:3);
+  Alcotest.check cells "upto 3" [| (0, -1); (1, 1); (2, -2) |]
+    (Zmail.Credit.report_upto c ~seq:3);
   Alcotest.(check int) "pending counts all buckets" 3
     (Zmail.Credit.early_pending c);
   (* A multi-epoch reset (the healed ISP reported the cumulative row
@@ -143,27 +143,27 @@ let test_audit_consistent () =
   in
   let compliant = [| true; true; true |] in
   Alcotest.(check int) "no violations" 0
-    (List.length (Zmail.Credit.Audit.verify ~reported ~compliant))
+    (List.length (Reference.Audit.verify ~reported ~compliant))
 
 let test_audit_detects_mismatch () =
   let reported =
     [| [| 0; 3; -1 |]; [| -2; 0; 2 |]; [| 1; -2; 0 |] |]
   in
   let compliant = [| true; true; true |] in
-  match Zmail.Credit.Audit.verify ~reported ~compliant with
+  match Reference.Audit.verify ~reported ~compliant with
   | [ v ] ->
-      Alcotest.(check int) "pair a" 0 v.Zmail.Credit.Audit.isp_a;
-      Alcotest.(check int) "pair b" 1 v.Zmail.Credit.Audit.isp_b;
-      Alcotest.(check int) "discrepancy" 1 v.Zmail.Credit.Audit.discrepancy;
+      Alcotest.(check int) "pair a" 0 v.Audit.Verify.isp_a;
+      Alcotest.(check int) "pair b" 1 v.Audit.Verify.isp_b;
+      Alcotest.(check int) "discrepancy" 1 v.Audit.Verify.discrepancy;
       Alcotest.(check (list int)) "implicated" [ 0; 1 ]
-        (Zmail.Credit.Audit.implicated [ v ])
+        (Audit.Verify.implicated [ v ])
   | l -> Alcotest.failf "expected 1 violation, got %d" (List.length l)
 
 let test_audit_ignores_noncompliant () =
   let reported = [| [| 0; 5 |]; [| 9; 0 |] |] in
   let compliant = [| true; false |] in
   Alcotest.(check int) "non-compliant rows skipped" 0
-    (List.length (Zmail.Credit.Audit.verify ~reported ~compliant))
+    (List.length (Reference.Audit.verify ~reported ~compliant))
 
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
