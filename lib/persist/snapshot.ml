@@ -20,8 +20,12 @@ type t = {
    (E23's durable-WAL work); disk-backed kernels and the bank append a
    storage-device + WAL-bookkeeping section to their state.  No
    migration from v6: a v6 snapshot simply lacks the new trailing
-   fields, and replay-verify compares full section bytes. *)
-let current_version = 7
+   fields, and replay-verify compares full section bytes.
+   v8: one write-ahead-log engine for both kernels ([Zmail.Journal]),
+   so a disk-backed bank's log bookkeeping gains the group-commit
+   counter the ISPs already stored (always 0 for the bank).  No
+   migration from v7, as for v6 -> v7. *)
+let current_version = 8
 let magic = "ZMSNAP01"
 
 (* A delta snapshot's first section; the name is not a valid component

@@ -9,8 +9,10 @@
 
     This module is pure string plumbing — it knows nothing about disks
     or kernels.  {!Sim.Disk} provides the fault-injected device the
-    frames land on; [Zmail.Isp] and [Zmail.Bank] define what the
-    payloads mean.
+    frames land on; [Zmail.Journal] owns the log built from them
+    (checkpoint record 0, group commit, compaction, recovery), and
+    [Zmail.Isp] and [Zmail.Bank] define what the delta payloads
+    mean.
 
     {!scan} is the recovery primitive: it walks the log from the
     front, returning every intact record up to the first torn

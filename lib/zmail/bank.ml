@@ -96,17 +96,12 @@ type t = {
   mutable messages_out : int;
   rejects : int array;  (* indexed by [reject_index] *)
   mutable tracer : Obs.Trace.t;
-  (* Write-ahead-log plumbing, mirroring [Isp]: [disk = None] keeps
-     the bank implicitly durable with zero overhead.  The bank's
-     message path draws no randomness ([sign_by_bank] and
-     [open_at_bank] are deterministic), so replaying logged inputs
-     rebuilds the reply cache and audit state byte-identically. *)
-  disk : Sim.Disk.t option;
-  mutable wal_seq : int;
-  mutable wal_since_checkpoint : int;
-  mutable wal_appended : int;
-  mutable wal_replayed : int;
-  mutable replaying : bool;
+  (* The write-ahead log; [None] keeps the bank implicitly durable
+     with zero overhead.  The bank's message path draws no randomness
+     ([sign_by_bank] and [open_at_bank] are deterministic), so
+     replaying logged inputs rebuilds the reply cache and audit state
+     byte-identically. *)
+  journal : Journal.t option;
 }
 
 let set_tracer t tracer = t.tracer <- tracer
@@ -118,9 +113,9 @@ let ev t name fields =
 let public_key t = t.public
 let account_balance t ~isp = t.account.(isp)
 let outstanding_epennies t = t.outstanding
-let disk t = t.disk
-let wal_appended t = t.wal_appended
-let wal_replayed t = t.wal_replayed
+let disk t = Option.map Journal.disk t.journal
+let wal_appended t = match t.journal with Some j -> Journal.appended j | None -> 0
+let wal_replayed t = match t.journal with Some j -> Journal.replayed j | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* State capture                                                       *)
@@ -261,48 +256,14 @@ let restore_kernel r t =
 
 let encode_state w t =
   encode_kernel w t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.encode_state w d;
-      let open Persist.Codec.W in
-      int w t.wal_seq;
-      int w t.wal_since_checkpoint;
-      int w t.wal_appended;
-      int w t.wal_replayed
+  match t.journal with None -> () | Some j -> Journal.encode_state w j
 
 let restore_state r t =
   restore_kernel r t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.restore_state r d;
-      let open Persist.Codec.R in
-      t.wal_seq <- int r;
-      t.wal_since_checkpoint <- int r;
-      t.wal_appended <- int r;
-      t.wal_replayed <- int r
+  match t.journal with None -> () | Some j -> Journal.restore_state r j
 
-(* CRC-trailed kernel image, the payload of WAL checkpoint records —
-   the same discipline as [Isp.durable_image]. *)
-let durable_image t =
-  let body = Persist.Codec.to_string encode_kernel t in
-  let w = Persist.Codec.W.create () in
-  Persist.Codec.W.str w body;
-  Persist.Codec.W.u32 w (Int32.to_int (Persist.Codec.Crc32.string body) land 0xFFFFFFFF);
-  Persist.Codec.W.contents w
-
-let restore_image t ~image =
-  let restore r =
-    let body = Persist.Codec.R.str r in
-    let crc = Persist.Codec.R.u32 r in
-    if Int32.to_int (Persist.Codec.Crc32.string body) land 0xFFFFFFFF <> crc
-    then Persist.Codec.R.corrupt r "durable image CRC mismatch";
-    match Persist.Codec.decode (fun r -> restore_kernel r t) body with
-    | Ok () -> ()
-    | Error msg -> Persist.Codec.R.corrupt r msg
-  in
-  Persist.Codec.decode restore image
+(* The payload of WAL checkpoint records ({!Journal.image}). *)
+let durable_image t = Journal.image encode_kernel t
 
 (* ------------------------------------------------------------------ *)
 (* The write-ahead log                                                 *)
@@ -319,44 +280,19 @@ let restore_image t ~image =
    checkpoint keeps recovery time bounded by the open round's
    traffic. *)
 
-let tag_checkpoint = 0
 let tag_msg = 1
 let tag_start = 2
 let tag_resend = 3
 
-let wal_compact_after = 512
-
-let checkpoint_frame t =
-  let payload =
-    Persist.Codec.to_string
-      (fun w () ->
-        Persist.Codec.W.u8 w tag_checkpoint;
-        Persist.Codec.W.str w (durable_image t))
-      ()
-  in
-  Persist.Wal.frame ~seq:0 payload
-
 let wal_checkpoint t =
-  match t.disk with
+  match t.journal with
   | None -> ()
-  | Some d ->
-      Sim.Disk.reset_to d (checkpoint_frame t);
-      t.wal_seq <- 1;
-      t.wal_since_checkpoint <- 0
+  | Some j -> Journal.checkpoint j ~image:(durable_image t)
 
 let wal_append t writer =
-  match t.disk with
+  match t.journal with
   | None -> ()
-  | Some d ->
-      if not t.replaying then begin
-        let payload = Persist.Codec.to_string (fun w () -> writer w) () in
-        Sim.Disk.append d (Persist.Wal.frame ~seq:t.wal_seq payload);
-        t.wal_seq <- t.wal_seq + 1;
-        t.wal_appended <- t.wal_appended + 1;
-        t.wal_since_checkpoint <- t.wal_since_checkpoint + 1;
-        Sim.Disk.flush d;
-        if t.wal_since_checkpoint >= wal_compact_after then wal_checkpoint t
-      end
+  | Some j -> Journal.append j ~flush:true ~image:(fun () -> durable_image t) writer
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -386,12 +322,7 @@ let create ?disk rng config =
       messages_out = 0;
       rejects = Array.make n_reject_reasons 0;
       tracer = Obs.Trace.none;
-      disk;
-      wal_seq = 0;
-      wal_since_checkpoint = 0;
-      wal_appended = 0;
-      wal_replayed = 0;
-      replaying = false;
+      journal = Option.map (Journal.create ~group:1) disk;
     }
   in
   wal_checkpoint t;
@@ -725,72 +656,38 @@ let awaits t ~seq isp =
 (* Crash and WAL recovery                                              *)
 (* ------------------------------------------------------------------ *)
 
-let power_cut t = Option.iter Sim.Disk.power_cut t.disk
+let power_cut t = Option.iter Journal.power_cut t.journal
 
-let replay_record t payload =
-  let r = Persist.Codec.R.of_string payload in
-  let tag = Persist.Codec.R.u8 r in
+let replay_record t r =
+  let open Persist.Codec.R in
+  let tag = u8 r in
   if tag = tag_msg then begin
-    let from_isp = Persist.Codec.R.int r in
+    let from_isp = int r in
     let sealed = Toycrypto.Seal.decode_bin r in
     ignore (on_isp_message_exec t ~from_isp sealed)
   end
   else if tag = tag_start then begin
-    let except = Persist.Codec.R.list Persist.Codec.R.int r in
+    let except = list int r in
     ignore (start_audit_exec ~except t)
   end
-  else if tag = tag_resend then begin
-    let isp = Persist.Codec.R.int r in
-    ignore (resend_audit_request_exec t ~isp)
-  end
-  else Persist.Codec.R.corrupt r (Printf.sprintf "unknown bank WAL record tag %d" tag);
-  Persist.Codec.R.expect_end r
+  else if tag = tag_resend then ignore (resend_audit_request_exec t ~isp:(int r))
+  else corrupt r (Printf.sprintf "unknown bank WAL record tag %d" tag)
 
 let recover_wal t =
-  match t.disk with
+  match t.journal with
   | None -> Error "Bank.recover_wal: bank has no disk"
-  | Some d -> (
-      let scan = Persist.Wal.scan (Sim.Disk.contents d) in
-      match scan.Persist.Wal.records with
-      | [] -> Error "Bank.recover_wal: no intact checkpoint record in the log"
-      | first :: deltas -> (
-          let checkpoint =
-            let open Persist.Codec in
-            decode
-              (fun r ->
-                if R.u8 r <> tag_checkpoint then
-                  R.corrupt r "first bank WAL record is not a checkpoint";
-                R.str r)
-              first
-          in
-          match checkpoint with
-          | Error msg -> Error ("Bank.recover_wal: " ^ msg)
-          | Ok image -> (
-              match restore_image t ~image with
-              | Error msg ->
-                  Error ("Bank.recover_wal: corrupt checkpoint image: " ^ msg)
-              | Ok () -> (
-                  let saved_tracer = t.tracer in
-                  t.replaying <- true;
-                  t.tracer <- Obs.Trace.none;
-                  let outcome =
-                    try
-                      List.iter (replay_record t) deltas;
-                      Ok ()
-                    with
-                    | Persist.Codec.Corrupt msg ->
-                        Error ("Bank.recover_wal: " ^ msg)
-                    | Failure msg | Invalid_argument msg ->
-                        Error ("Bank.recover_wal: replay diverged: " ^ msg)
-                  in
-                  t.replaying <- false;
-                  t.tracer <- saved_tracer;
-                  match outcome with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      t.wal_replayed <- List.length deltas;
-                      wal_checkpoint t;
-                      Ok ()))))
+  | Some j -> (
+      let saved_tracer = t.tracer in
+      t.tracer <- Obs.Trace.none;
+      let outcome =
+        Journal.recover j ~restore:(fun r -> restore_kernel r t) ~replay:(replay_record t)
+      in
+      t.tracer <- saved_tracer;
+      match outcome with
+      | Error msg -> Error ("Bank.recover_wal: " ^ msg)
+      | Ok () ->
+          wal_checkpoint t;
+          Ok ())
 
 type stats = {
   buys : int;

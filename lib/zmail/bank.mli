@@ -62,11 +62,12 @@ type t
 
 val create : ?disk:Sim.Disk.t -> Sim.Rng.t -> config -> t
 (** Generates the bank keypair from [rng].  With [disk] the bank keeps
-    a write-ahead log on it: every incoming ISP message, audit-round
-    start and request re-issue is logged (inputs, not outcomes — the
-    bank's message path is deterministic, so replay rebuilds the reply
-    cache and audit state byte-identically) and flushed immediately,
-    and the initial checkpoint is written at once.  A completed audit
+    a write-ahead log ({!Journal}) on it: every incoming ISP message,
+    audit-round start and request re-issue is logged (inputs, not
+    outcomes — the bank's message path is deterministic, so replay
+    rebuilds the reply cache and audit state byte-identically) and
+    flushed immediately, so the journal's group-commit window never
+    comes into play; the initial checkpoint is written at once.  A completed audit
     round compacts the log to a fresh checkpoint, so completed rounds
     never replay.  Without [disk] the bank is implicitly durable (the
     legacy model) with zero overhead. *)
@@ -191,6 +192,12 @@ val restore_state : Persist.Codec.R.t -> t -> unit
 
 (** {1 Crash and WAL recovery} *)
 
+val durable_image : t -> string
+(** The bank's protocol state (everything {!encode_state} captures
+    except the device and log bookkeeping) as one CRC-trailed
+    {!Journal.image}: the payload of the bank's checkpoint records.
+    A disk-less bank's {!restore_state} reads the image's body. *)
+
 val disk : t -> Sim.Disk.t option
 (** The attached storage device, if any. *)
 
@@ -202,8 +209,8 @@ val power_cut : t -> unit
     disk. *)
 
 val recover_wal : t -> (unit, string) result
-(** Rebuild the bank from the surviving log: scan, truncate at the
-    first torn or corrupt record, restore the leading checkpoint image
+(** Rebuild the bank from the surviving log ({!Journal.recover}):
+    scan, truncate at the first torn or corrupt record, restore the leading checkpoint image
     and replay the logged messages through the normal handlers with
     tracing suppressed.  The reply cache rebuilds exactly, so an ISP
     whose request was applied before the crash but whose reply was lost

@@ -90,20 +90,10 @@ type t = {
   mutable refunds : int;
   mutable crashes : int;
   mutable tracer : Obs.Trace.t;
-  (* Write-ahead-log plumbing.  [disk = None] keeps the legacy
-     write-through durability model ({!durable_image}/{!recover}) with
-     zero per-operation overhead. *)
-  disk : Sim.Disk.t option;
-  wal_group : int;
-  mutable wal_seq : int;  (** Next frame sequence number on the device. *)
-  mutable wal_lazy : int;  (** Unflushed lazy records (group commit). *)
-  mutable wal_since_checkpoint : int;
-  mutable wal_appended : int;
-  mutable wal_replayed : int;
-  mutable replaying : bool;
-      (** True while {!recover_wal} re-applies logged operations: the
-          WAL writer and the amend transport are suppressed so replay
-          is silent and appends nothing. *)
+  journal : Journal.t option;
+      (** The write-ahead log; [None] keeps the legacy write-through
+          durability model ({!restart}) with zero per-operation
+          overhead. *)
 }
 
 let set_tracer t tracer =
@@ -131,7 +121,7 @@ let pending_sell_nonce t = Option.map (fun p -> p.nonce) t.pending_sell
 let audit_seq t = t.seq
 let set_audit_tamper t f = t.audit_tamper <- f
 let set_amend_hook t f = t.amend_hook <- f
-let disk t = t.disk
+let disk t = Option.map Journal.disk t.journal
 
 (* ------------------------------------------------------------------ *)
 (* State capture                                                       *)
@@ -209,57 +199,16 @@ let restore_kernel r t =
 
 let encode_state w t =
   encode_kernel w t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.encode_state w d;
-      let open Persist.Codec.W in
-      int w t.wal_seq;
-      int w t.wal_lazy;
-      int w t.wal_since_checkpoint;
-      int w t.wal_appended;
-      int w t.wal_replayed
+  match t.journal with None -> () | Some j -> Journal.encode_state w j
 
 let restore_state r t =
   restore_kernel r t;
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      Sim.Disk.restore_state r d;
-      let open Persist.Codec.R in
-      t.wal_seq <- int r;
-      t.wal_lazy <- int r;
-      t.wal_since_checkpoint <- int r;
-      t.wal_appended <- int r;
-      t.wal_replayed <- int r
+  match t.journal with None -> () | Some j -> Journal.restore_state r j
 
 (* The kernel image is the unit of atomic durability: the payload of a
-   WAL checkpoint record, and — for kernels without a disk — the whole
-   legacy write-through durable record.  It carries its own CRC-32
-   trailer (like a snapshot section) so a flipped bit anywhere in it —
-   including inside a plain integer field the codec could otherwise
-   decode — aborts recovery instead of restoring a subtly wrong
-   kernel. *)
-let durable_image t =
-  let body = Persist.Codec.to_string encode_kernel t in
-  let w = Persist.Codec.W.create () in
-  Persist.Codec.W.str w body;
-  Persist.Codec.W.u32 w (Int32.to_int (Persist.Codec.Crc32.string body) land 0xFFFFFFFF);
-  Persist.Codec.W.contents w
-
-(* Restore a kernel image without the crash bookkeeping — shared by
-   {!recover} (the caller-facing restart) and WAL checkpoint replay. *)
-let restore_image t ~image =
-  let restore r =
-    let body = Persist.Codec.R.str r in
-    let crc = Persist.Codec.R.u32 r in
-    if Int32.to_int (Persist.Codec.Crc32.string body) land 0xFFFFFFFF <> crc
-    then Persist.Codec.R.corrupt r "durable image CRC mismatch";
-    match Persist.Codec.decode (fun r -> restore_kernel r t) body with
-    | Ok () -> ()
-    | Error msg -> Persist.Codec.R.corrupt r msg
-  in
-  Persist.Codec.decode restore image
+   WAL checkpoint record and of the known-good image a failed WAL
+   recovery falls back to ({!Journal.image}). *)
+let durable_image t = Journal.image encode_kernel t
 
 (* ------------------------------------------------------------------ *)
 (* The write-ahead log                                                 *)
@@ -286,13 +235,9 @@ let restore_image t ~image =
    cell.  (An audit freeze is volatile by design: recovery lifts it
    and the bank's request retransmission restarts it.)
 
-   Crash points in this simulation are event boundaries, so a record
-   appended and flushed inside the same engine callback as its
-   operation is atomic with it; the meaningful write-ahead guarantee
-   is "flushed before the next event can observe the effect", which
-   the policy above provides. *)
+   The log format, group commit and compaction are {!Journal}'s; tag 0
+   is its checkpoint record. *)
 
-let tag_checkpoint = 0
 let tag_charge = 1
 let tag_deliver = 2
 let tag_refund = 3
@@ -303,68 +248,30 @@ let tag_thaw = 7
 let tag_end_of_day = 8
 let tag_warnings = 9
 
-(* Rewrite the log as one fresh checkpoint once this many delta
-   records accumulate.  Purely count-based, hence deterministic. *)
-let wal_compact_after = 512
-
-let checkpoint_frame t =
-  let payload =
-    Persist.Codec.to_string
-      (fun w () ->
-        Persist.Codec.W.u8 w tag_checkpoint;
-        Persist.Codec.W.str w (durable_image t))
-      ()
-  in
-  Persist.Wal.frame ~seq:0 payload
-
 let wal_checkpoint t =
-  match t.disk with
+  match t.journal with
   | None -> ()
-  | Some d ->
-      Sim.Disk.reset_to d (checkpoint_frame t);
-      t.wal_seq <- 1;
-      t.wal_lazy <- 0;
-      t.wal_since_checkpoint <- 0
+  | Some j -> Journal.checkpoint j ~image:(durable_image t)
 
 let wal_append t ~flush writer =
-  match t.disk with
+  match t.journal with
   | None -> ()
-  | Some d ->
-      if not t.replaying then begin
-        let payload =
-          Persist.Codec.to_string
-            (fun w () ->
-              writer w;
-              (* no result *))
-            ()
-        in
-        Sim.Disk.append d (Persist.Wal.frame ~seq:t.wal_seq payload);
-        t.wal_seq <- t.wal_seq + 1;
-        t.wal_appended <- t.wal_appended + 1;
-        t.wal_since_checkpoint <- t.wal_since_checkpoint + 1;
-        if flush then begin
-          Sim.Disk.flush d;
-          t.wal_lazy <- 0
-        end
-        else begin
-          t.wal_lazy <- t.wal_lazy + 1;
-          if t.wal_lazy >= t.wal_group then begin
-            Sim.Disk.flush d;
-            t.wal_lazy <- 0
-          end
-        end;
-        if t.wal_since_checkpoint >= wal_compact_after then wal_checkpoint t
-      end
+  | Some j -> Journal.append j ~flush ~image:(fun () -> durable_image t) writer
 
-let wal_appended t = t.wal_appended
-let wal_replayed t = t.wal_replayed
+let wal_appended t = match t.journal with Some j -> Journal.appended j | None -> 0
+let wal_replayed t = match t.journal with Some j -> Journal.replayed j | None -> 0
+
+(* The step every restart ends with, whatever restored the state: count
+   the crash and lift the volatile snapshot freeze. *)
+let restart t =
+  t.crashes <- t.crashes + 1;
+  t.cansend <- true
 
 let recover t ~image =
-  match restore_image t ~image with
+  match Journal.restore_image (fun r -> restore_kernel r t) image with
   | Error msg -> Error ("Isp.recover: corrupt durable image: " ^ msg)
   | Ok () ->
-      t.crashes <- t.crashes + 1;
-      t.cansend <- true;
+      restart t;
       (* An image-based restart on a disk-backed kernel bypasses the
          log, leaving records that describe a state other than the one
          just installed; re-baseline so a later WAL recovery replays
@@ -415,14 +322,7 @@ let create ?disk ?(wal_group = 8) rng config =
       refunds = 0;
       crashes = 0;
       tracer = Obs.Trace.none;
-      disk;
-      wal_group;
-      wal_seq = 0;
-      wal_lazy = 0;
-      wal_since_checkpoint = 0;
-      wal_appended = 0;
-      wal_replayed = 0;
-      replaying = false;
+      journal = Option.map (Journal.create ~group:wal_group) disk;
     }
   in
   (* A WAL-backed kernel is born with its initial state durable: the
@@ -822,99 +722,65 @@ let limit_warnings t =
 (* Crash and WAL recovery                                              *)
 (* ------------------------------------------------------------------ *)
 
-let power_cut t = Option.iter Sim.Disk.power_cut t.disk
+let power_cut t = Option.iter Journal.power_cut t.journal
 
-let replay_record t payload =
-  let r = Persist.Codec.R.of_string payload in
-  let tag = Persist.Codec.R.u8 r in
+let replay_record t r =
+  let open Persist.Codec.R in
+  let tag = u8 r in
   if tag = tag_charge then begin
-    let sender = Persist.Codec.R.int r in
-    let dest_isp = Persist.Codec.R.int r in
+    let sender = int r in
+    let dest_isp = int r in
     ignore (charge_exec t ~sender ~dest_isp)
   end
   else if tag = tag_deliver then begin
-    let sender_epoch = Persist.Codec.R.opt Persist.Codec.R.int r in
-    let from_isp = Persist.Codec.R.int r in
-    let rcpt = Persist.Codec.R.int r in
-    let amended = Persist.Codec.R.bool r in
+    let sender_epoch = opt int r in
+    let from_isp = int r in
+    let rcpt = int r in
+    let amended = bool r in
     ignore
       (deliver_exec t ~replay_amend:(Some amended) ~sender_epoch ~from_isp ~rcpt)
   end
   else if tag = tag_refund then begin
-    let sender = Persist.Codec.R.int r in
-    let dest_isp = Persist.Codec.R.int r in
+    let sender = int r in
+    let dest_isp = int r in
     refund_exec t ~sender ~dest_isp
   end
   else if tag = tag_topup then begin
-    let user = Persist.Codec.R.int r in
-    let amount = Persist.Codec.R.int r in
+    let user = int r in
+    let amount = int r in
     match Ledger.user_buy t.ledger ~user ~amount with
     | Ok () -> ()
     | Error msg -> failwith ("topup replay rejected: " ^ msg)
   end
   else if tag = tag_pool then ignore (pool_action_exec t)
-  else if tag = tag_bank_msg then
-    ignore (apply_bank_payload t (Wire.decode_bin r))
+  else if tag = tag_bank_msg then ignore (apply_bank_payload t (Wire.decode_bin r))
   else if tag = tag_thaw then ignore (thaw_exec t)
   else if tag = tag_end_of_day then end_of_day_exec t
   else if tag = tag_warnings then ignore (limit_warnings_exec t)
-  else Persist.Codec.R.corrupt r (Printf.sprintf "unknown WAL record tag %d" tag);
-  Persist.Codec.R.expect_end r
+  else corrupt r (Printf.sprintf "unknown WAL record tag %d" tag)
 
 let recover_wal t =
-  match t.disk with
+  match t.journal with
   | None -> Error "Isp.recover_wal: kernel has no disk"
-  | Some d -> (
-      let scan = Persist.Wal.scan (Sim.Disk.contents d) in
-      match scan.Persist.Wal.records with
-      | [] -> Error "Isp.recover_wal: no intact checkpoint record in the log"
-      | first :: deltas -> (
-          let checkpoint =
-            let open Persist.Codec in
-            decode
-              (fun r ->
-                if R.u8 r <> tag_checkpoint then
-                  R.corrupt r "first WAL record is not a checkpoint";
-                R.str r)
-              first
-          in
-          match checkpoint with
-          | Error msg -> Error ("Isp.recover_wal: " ^ msg)
-          | Ok image -> (
-              match restore_image t ~image with
-              | Error msg ->
-                  Error ("Isp.recover_wal: corrupt checkpoint image: " ^ msg)
-              | Ok () -> (
-                  (* Replay is silent: nothing is traced, nothing is
-                     appended, no amended reply is re-sent — the world
-                     already saw all of it the first time. *)
-                  let saved_tracer = t.tracer in
-                  t.replaying <- true;
-                  set_tracer t Obs.Trace.none;
-                  let outcome =
-                    try
-                      List.iter (replay_record t) deltas;
-                      Ok ()
-                    with
-                    | Persist.Codec.Corrupt msg ->
-                        Error ("Isp.recover_wal: " ^ msg)
-                    | Failure msg | Invalid_argument msg ->
-                        Error ("Isp.recover_wal: replay diverged: " ^ msg)
-                  in
-                  t.replaying <- false;
-                  set_tracer t saved_tracer;
-                  match outcome with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      t.wal_replayed <- List.length deltas;
-                      t.crashes <- t.crashes + 1;
-                      t.cansend <- true;
-                      (* Compact: recovery is the natural checkpoint
-                         boundary, and rewriting the log here also
-                         truncates whatever torn or rotten suffix the
-                         power cut left behind. *)
-                      wal_checkpoint t;
-                      Ok ()))))
+  | Some j -> (
+      (* Replay is silent: nothing is traced, nothing is appended, no
+         amended reply is re-sent — the world already saw all of it the
+         first time. *)
+      let saved_tracer = t.tracer in
+      set_tracer t Obs.Trace.none;
+      let outcome =
+        Journal.recover j ~restore:(fun r -> restore_kernel r t) ~replay:(replay_record t)
+      in
+      set_tracer t saved_tracer;
+      match outcome with
+      | Error msg -> Error ("Isp.recover_wal: " ^ msg)
+      | Ok () ->
+          restart t;
+          (* Compact: recovery is the natural checkpoint boundary, and
+             rewriting the log here also truncates whatever torn or
+             rotten suffix the power cut left behind. *)
+          wal_checkpoint t;
+          Ok ())
 
 let total_epennies t = Ledger.total_epennies t.ledger
 

@@ -17,19 +17,21 @@
     {2 Durability}
 
     A kernel has two durability models.  Without a disk (the default),
-    it keeps the legacy write-through model: {!durable_image} captures
-    the complete protocol state as one atomic record and {!recover}
-    restores it, as if every mutation landed on stable storage the
-    instant it happened.  With a {!Sim.Disk} attached at {!create},
-    durability instead goes through an incremental write-ahead log:
-    every billing-relevant transition appends a CRC'd, sequence-numbered
-    record ({!Persist.Wal} framing) under a group-commit flush policy —
-    money-moving and message-emitting transitions flush immediately,
-    counter-only ones ride until [wal_group] accumulate — and crash
-    recovery ({!power_cut} then {!recover_wal}) scans the surviving log,
-    restores the leading checkpoint image and replays the delta records
-    through the same mutation code, reproducing the lost kernel bit for
-    bit up to the last flushed record. *)
+    it keeps the legacy write-through model: every mutation is treated
+    as landing on stable storage the instant it happens, so a crash
+    loses only volatile state and a restart is just {!restart}.
+    {!durable_image} and {!recover} still capture and reinstall the
+    complete protocol state as one atomic record, for callers that
+    keep older images (a fallback, a test oracle).  With a
+    {!Sim.Disk} attached at {!create}, durability instead goes
+    through an incremental write-ahead log kept by {!Journal}: every
+    billing-relevant transition appends a record of its inputs under
+    group commit — money-moving and message-emitting transitions flush
+    immediately, counter-only ones ride until [wal_group] accumulate —
+    and crash recovery ({!power_cut} then {!recover_wal}) scans the
+    surviving log, restores the leading checkpoint image and replays
+    the delta records through the same mutation code, reproducing the
+    lost kernel bit for bit up to the last flushed record. *)
 
 type cheat =
   | Honest
@@ -82,12 +84,12 @@ type t
 
 val create : ?disk:Sim.Disk.t -> ?wal_group:int -> Sim.Rng.t -> config -> t
 (** [create ?disk ?wal_group rng config].  With [disk] the kernel logs
-    every billing-relevant transition to it as a write-ahead log and
-    immediately writes the initial checkpoint record, so the log is
-    never without a recovery baseline; [wal_group] (default 8) is the
-    group-commit window for lazy records.  Without [disk] the kernel
-    uses the legacy write-through model and pays zero per-operation
-    overhead.
+    every billing-relevant transition to it as a write-ahead log
+    ({!Journal}) and immediately writes the initial checkpoint record,
+    so the log is never without a recovery baseline; [wal_group]
+    (default 8) is the group-commit window for lazy records.  Without
+    [disk] the kernel uses the legacy write-through model and pays
+    zero per-operation overhead.
     @raise Invalid_argument on an out-of-range index, a compliance map
     of the wrong size, a non-compliant own index, an inverted pool
     band, or [wal_group < 1]. *)
@@ -125,23 +127,28 @@ val audit_seq : t -> int
 val durable_image : t -> string
 (** An atomic capture of the kernel's complete protocol state (ledger,
     credit vectors, audit sequence, pending buy/sell records, RNG/nonce
-    streams, counters) as one [Persist.Codec] string with its own
-    CRC-32 trailer.  Under the legacy write-through model this is the
-    durable record itself, read at crash time and fed back to
-    {!recover}; under the WAL model the same image is the payload of
-    checkpoint records, and the log's delta records describe everything
-    since the last one.  The storage device is deliberately {e not}
-    part of the image (a checkpoint that embedded the log would contain
-    itself). *)
+    streams, counters) as one CRC-trailed {!Journal.image}.  Under the
+    WAL model it is the payload of checkpoint records, and the log's
+    delta records describe everything since the last one; any caller
+    may also keep it as a known-good image to {!recover} from.  The
+    storage device is deliberately {e not} part of the image (a
+    checkpoint that embedded the log would contain itself). *)
+
+val restart : t -> unit
+(** The step every restart after a crash ends with: count the crash
+    and clear the snapshot-freeze flag, which is volatile (the bank's
+    audit-request retransmission restarts the freeze if one was in
+    progress).  On its own it is the whole restart of a disk-less
+    kernel, whose state is write-through durable; {!recover} and
+    {!recover_wal} call it after restoring.  Callers must separately
+    retransmit any pending bank requests to reconverge the pool. *)
 
 val recover : t -> image:string -> (unit, string) result
-(** Restart the kernel after a crash from [image] (a {!durable_image}).
-    The ledger, credit vector, audit sequence and pending buy/sell
-    records are durable state and are restored from the image; the
-    snapshot-freeze flag is volatile and is cleared (the bank's
-    audit-request retransmission restarts the freeze if one was in
-    progress).  Callers must separately retransmit any pending bank
-    requests to reconverge the pool.
+(** Restart the kernel after a crash from [image] (a {!durable_image}):
+    restore the ledger, credit vector, audit sequence and pending
+    buy/sell records from it, then {!restart}.  On a disk-backed
+    kernel the log is re-based on a fresh checkpoint of the restored
+    state.
 
     On a corrupt image (bad CRC, truncated or malformed codec bytes)
     the kernel is {e not} guaranteed unchanged — partial restore may
@@ -283,17 +290,17 @@ val power_cut : t -> unit
     A no-op without a disk. *)
 
 val recover_wal : t -> (unit, string) result
-(** Rebuild the kernel from the surviving log: scan the device's
-    durable bytes ({!Persist.Wal.scan}), truncating at the first torn
-    or corrupt record; restore the leading checkpoint image; replay the
+(** Rebuild the kernel from the surviving log ({!Journal.recover}):
+    scan the device's durable bytes, truncating at the first torn or
+    corrupt record; restore the leading checkpoint image; replay the
     delta records through the same mutation code with tracing and
     logging suppressed (the world already observed these transitions
     the first time).  Because the checkpoint restores the RNG and nonce
     streams and every stream-consuming transition is logged, replay
     reproduces every probabilistic branch and sealing draw, so the
     recovered kernel matches the lost one bit for bit up to the last
-    flushed record.  On success the crash is counted, the volatile
-    freeze flag lifted, and the log compacted to a fresh checkpoint
+    flushed record.  On success the kernel {!restart}s and the log is
+    compacted to a fresh checkpoint
     (which also discards the damaged suffix).  [Error] when the log has
     no intact leading checkpoint or replay fails; the caller falls back
     to an older known-good image. *)
@@ -333,4 +340,5 @@ val stats_refunds : t -> int
 (** Bounced paid sends refunded via {!refund_send}. *)
 
 val stats_crashes : t -> int
-(** Times {!recover} or {!recover_wal} has completed successfully. *)
+(** Times the kernel has {!restart}ed, directly or through a
+    successful {!recover} or {!recover_wal}. *)

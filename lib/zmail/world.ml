@@ -145,9 +145,9 @@ type t = {
   latest_reply : (int * Toycrypto.Seal.sealed) option array;
       (* Per ISP: the round and sealed row of its newest audit reply —
          every retransmission of that round's reply sends this. *)
-  (* Last known-good durable image per ISP, the fallback when a WAL
-     recovery reports a corrupt log; filled lazily (crash paths only)
-     so worlds that never crash pay nothing. *)
+  (* Last known-good durable image per WAL-backed ISP, the fallback
+     when a WAL recovery reports a corrupt log; filled lazily (crash
+     paths only) so worlds that never crash pay nothing. *)
   last_good : string option array;
   link : link_stats;
   tracer : Obs.Trace.t;
@@ -560,48 +560,42 @@ let start_audit_round t =
 (* Crash and recovery                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Restart one kernel's durable state after a crash.  WAL-backed
-   kernels recover by log scan + checkpoint restore + replay
-   ({!Isp.recover_wal}); legacy kernels reload their write-through
-   durable image.  Either way a typed recovery failure falls back to
-   the last known-good image instead of killing the run — and when no
-   older image exists (the kernel never crashed before), the reboot
-   proceeds on the intact in-memory state, counted so experiments can
-   assert the path never fired. *)
+(* Restart one kernel after a crash.  Legacy kernels keep their
+   billing state write-through durable — every mutation (including
+   bounce refunds booked while the MTA is unreachable) lands on stable
+   storage — so the in-memory state already is the durable state, and
+   a crash loses only volatile state: the snapshot-freeze flag and
+   whatever was in flight on the link.  WAL-backed kernels recover by
+   log scan + checkpoint restore + replay ({!Isp.recover_wal}); a
+   typed recovery failure falls back to the last known-good image
+   instead of killing the run — and when no older image exists (the
+   kernel never crashed before), the reboot proceeds on the intact
+   in-memory state, counted so experiments can assert the path never
+   fired. *)
 let recover_kernel t i kernel =
-  let fallback why =
-    Log.warn (fun m ->
-        m "t=%.0f isp %d recovery failed (%s); falling back to last-good image"
-          (Sim.Engine.now t.engine) i why);
-    Sim.Stats.Counter.incr t.link.wal_fallbacks;
-    wev t ~actor:i "recover_fallback" [ ("why", Obs.Trace.Str why) ];
-    match t.last_good.(i) with
-    | Some image -> (
-        match Isp.recover kernel ~image with
-        | Ok () -> ()
-        | Error msg ->
-            (* The stored image was produced by [durable_image] and
-               verified once already; failing here means memory
-               corruption outside the model.  Keep the in-memory
-               state. *)
-            Log.err (fun m -> m "isp %d last-good image rejected: %s" i msg))
-    | None -> ()
-  in
-  (match Isp.disk kernel with
-  | Some _ -> (
-      match Isp.recover_wal kernel with Ok () -> () | Error msg -> fallback msg)
-  | None -> (
-      (* Legacy model: the kernel's billing state is write-through
-         durable — every mutation (including bounce refunds booked
-         while the MTA is unreachable) lands on stable storage — so
-         recovery reloads the latest durable image: a full
-         Persist.Codec round-trip of the kernel.  A crash loses only
-         volatile state: the snapshot-freeze flag and whatever was in
-         flight on the link. *)
-      match Isp.recover kernel ~image:(Isp.durable_image kernel) with
+  match Isp.disk kernel with
+  | None -> Isp.restart kernel
+  | Some _ ->
+      (match Isp.recover_wal kernel with
       | Ok () -> ()
-      | Error msg -> fallback msg));
-  t.last_good.(i) <- Some (Isp.durable_image kernel)
+      | Error why -> (
+          Log.warn (fun m ->
+              m "t=%.0f isp %d recovery failed (%s); falling back to last-good image"
+                (Sim.Engine.now t.engine) i why);
+          Sim.Stats.Counter.incr t.link.wal_fallbacks;
+          wev t ~actor:i "recover_fallback" [ ("why", Obs.Trace.Str why) ];
+          match t.last_good.(i) with
+          | Some image -> (
+              match Isp.recover kernel ~image with
+              | Ok () -> ()
+              | Error msg ->
+                  (* The stored image was produced by [durable_image]
+                     and verified once already; failing here means
+                     memory corruption outside the model.  Keep the
+                     in-memory state. *)
+                  Log.err (fun m -> m "isp %d last-good image rejected: %s" i msg))
+          | None -> ()));
+      t.last_good.(i) <- Some (Isp.durable_image kernel)
 
 let crash_isp t ~isp:i ~downtime =
   if i < 0 || i >= t.cfg.n_isps then invalid_arg "World.crash_isp: index out of range";
@@ -1117,8 +1111,8 @@ let create cfg =
      fold time: on [false] the kernel reverts the fold and books the
      receive normally (an amendment to a closed round — the common
      case right after a partition heals — would silently erase the
-     receive).  Wiring, like the tracer: [Isp.recover] leaves it in
-     place across crashes. *)
+     receive).  Wiring, like the tracer: a restart leaves it in place
+     across crashes. *)
   Array.iteri
     (fun i -> function
       | Some kernel ->
@@ -1502,8 +1496,10 @@ let encode_world w t =
     w t.deferred;
   int w (Hashtbl.length t.lists)
 
-let capture t =
-  let sec name encode = (name, Persist.Codec.to_string encode ()) in
+(* The snapshot's sections in their fixed order: [isp i kernel] builds
+   the "isp/<i>" entry of each compliant kernel, [sec name encode]
+   every other one. *)
+let sections t ~sec ~isp =
   [ sec "engine" (fun w () -> Sim.Engine.encode_state w t.engine);
     sec "rng" (fun w () -> Sim.Rng.encode_state w t.rng);
     sec "fault" (fun w () -> Sim.Fault.encode_state w t.fault);
@@ -1511,20 +1507,23 @@ let capture t =
     sec "bank" (fun w () -> Bank.encode_state w t.the_bank) ]
   @ (Array.to_list t.kernels
     |> List.mapi (fun i k -> (i, k))
-    |> List.filter_map (fun (i, k) ->
-           Option.map
-             (fun kernel ->
-               sec (Printf.sprintf "isp/%d" i) (fun w () ->
-                   Isp.encode_state w kernel))
-             k))
+    |> List.filter_map (fun (i, k) -> Option.map (isp i) k))
   @ [ sec "world" (fun w () -> encode_world w t) ]
   @ (match t.serve with
     | Some d -> [ sec "serve" (fun w () -> Serve.Dispatch.encode_state w d) ]
     | None -> [])
   @ [ sec "trace" (fun w () -> Obs.Trace.encode_state w t.tracer) ]
 
-(* Incremental capture: same section names in the same order as
-   [capture], but each "isp/<i>" body is serialized only when the
+let isp_name i = Printf.sprintf "isp/%d" i
+
+(* A full capture is the section builder with every ISP dirty; it
+   leaves the dirty set alone. *)
+let capture t =
+  let sec name encode = (name, Persist.Codec.to_string encode ()) in
+  sections t ~sec ~isp:(fun i kernel ->
+      sec (isp_name i) (fun w () -> Isp.encode_state w kernel))
+
+(* Incremental capture: "isp/<i>" is serialized only when the
    world-mediated mutation sites marked ISP [i] dirty since the last
    incremental capture.  The non-ISP sections (engine, rng, fault,
    mesh, bank, world, serve, trace) are always serialized: they are
@@ -1534,26 +1533,11 @@ let capture t =
 let capture_incremental t =
   let sec name encode = (name, Some (Persist.Codec.to_string encode ())) in
   let sections =
-    [ sec "engine" (fun w () -> Sim.Engine.encode_state w t.engine);
-      sec "rng" (fun w () -> Sim.Rng.encode_state w t.rng);
-      sec "fault" (fun w () -> Sim.Fault.encode_state w t.fault);
-      sec "mesh" (fun w () -> Sim.Fault.Mesh.encode_state w t.mesh);
-      sec "bank" (fun w () -> Bank.encode_state w t.the_bank) ]
-    @ (Array.to_list t.kernels
-      |> List.mapi (fun i k -> (i, k))
-      |> List.filter_map (fun (i, k) ->
-             Option.map
-               (fun kernel ->
-                 let name = Printf.sprintf "isp/%d" i in
-                 if Sim.Bitset.mem t.isp_dirty i then
-                   sec name (fun w () -> Isp.encode_state w kernel)
-                 else (name, None))
-               k))
-    @ [ sec "world" (fun w () -> encode_world w t) ]
-    @ (match t.serve with
-      | Some d -> [ sec "serve" (fun w () -> Serve.Dispatch.encode_state w d) ]
-      | None -> [])
-    @ [ sec "trace" (fun w () -> Obs.Trace.encode_state w t.tracer) ]
+    sections t ~sec ~isp:(fun i kernel ->
+        let name = isp_name i in
+        if Sim.Bitset.mem t.isp_dirty i then
+          sec name (fun w () -> Isp.encode_state w kernel)
+        else (name, None))
   in
   Sim.Bitset.clear t.isp_dirty;
   sections

@@ -133,8 +133,8 @@ type config = {
   disk : Sim.Disk.plan option;
       (** Attach a simulated storage device ({!Sim.Disk}) to every
           compliant kernel and to the bank, switching durability from
-          the legacy write-through-image model to per-ISP write-ahead
-          logs: billing-relevant transitions are appended as CRC'd
+          the legacy write-through model to per-kernel write-ahead
+          logs ({!Journal}): billing-relevant transitions are appended as CRC'd
           sequence-numbered records and crash recovery replays the
           surviving log ({!Isp.recover_wal}, {!Bank.recover_wal}).  The
           plan sets the devices' power-cut fault behavior (torn final
@@ -284,11 +284,12 @@ val crash_isp : t -> isp:int -> downtime:float -> unit
     storage device (when [cfg.disk] is set): the unflushed WAL tail is
     lost per the device's fault plan.  Recovery restarts the kernel
     from durable state — the surviving write-ahead log
-    ({!Isp.recover_wal}) with [cfg.disk], the legacy durable image
-    ({!Isp.recover}) without; a recovery that fails its integrity
-    checks falls back to the last known-good image (counted in
-    [wal_fallbacks]).  Ledger, credit records and pending bank requests
-    survive; outstanding exchanges re-converge by retransmission.
+    ({!Isp.recover_wal}) with [cfg.disk], whose failed integrity
+    checks fall back to the last known-good image (counted in
+    [wal_fallbacks]); without a disk the kernel's state is
+    write-through durable and the restart is just {!Isp.restart}.
+    Ledger, credit records and pending bank requests survive;
+    outstanding exchanges re-converge by retransmission.
     @raise Invalid_argument for a non-compliant index, a non-positive
     [downtime], or an ISP that is already down. *)
 
@@ -445,7 +446,8 @@ val capture : t -> (string * string) list
     worlds built from the same seed and driven to the same time
     capture byte-identically — that equality is the resume-determinism
     guarantee, and any mismatch is reported per section by
-    {!Persist.Snapshot.diff}. *)
+    {!Persist.Snapshot.diff}.  Leaves the {!capture_incremental} dirty
+    set untouched. *)
 
 val capture_incremental : t -> (string * string option) list
 (** As {!capture} — same section names, same order — but each

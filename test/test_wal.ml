@@ -406,6 +406,248 @@ let bank_wal_replay () =
   checki "kernel ignores the duplicate reply" pool_after
     (Zmail.Isp.total_epennies kernels.(0))
 
+(* The bank's counterpart of the ISP group-1 law.  A random stream of
+   ISP-origin buys and sells (fresh nonces and retransmitted ones),
+   audit-round starts with random exclusions, audit replies (which may
+   close the round and checkpoint the log), request re-issues and
+   unreadable messages, all through a disk-backed bank on a reliable
+   device.  Every bank record flushes, so recovery must land on exactly
+   the crash-instant image — the one an image restore installs. *)
+let mk_wal_bank ~seed ~disk =
+  let rng = Sim.Rng.create seed in
+  Zmail.Bank.create ?disk rng
+    (Zmail.Bank.default_config ~n_isps:3 ~compliant:[| true; true; true |])
+
+let drive_bank bank ~seed ops =
+  let rng = Sim.Rng.create (seed + 1000) in
+  let pk = Zmail.Bank.public_key bank in
+  let sealed payload = Zmail.Wire.seal_for_bank rng pk payload in
+  let sent = ref [] in
+  let nonce = ref 0L in
+  List.iter
+    (fun op ->
+      let isp = op / 8 mod 3 in
+      match op mod 8 with
+      | 0 | 1 ->
+          nonce := Int64.succ !nonce;
+          let payload =
+            if op mod 8 = 0 then Zmail.Wire.Buy { amount = 1 + (op mod 50); nonce = !nonce }
+            else Zmail.Wire.Sell { amount = 1 + (op mod 20); nonce = !nonce }
+          in
+          let m = sealed payload in
+          sent := (isp, m) :: !sent;
+          ignore (Zmail.Bank.on_isp_message bank ~from_isp:isp m)
+      | 2 -> (
+          (* Retransmit an earlier request: answered from the cache. *)
+          match !sent with
+          | (i, m) :: _ -> ignore (Zmail.Bank.on_isp_message bank ~from_isp:i m)
+          | [] -> ())
+      | 3 ->
+          if not (Zmail.Bank.audit_in_progress bank) then
+            ignore
+              (Zmail.Bank.start_audit
+                 ~except:(if op mod 5 = 0 then [ isp ] else [])
+                 bank)
+      | 4 | 5 -> (
+          match Zmail.Bank.audit_round bank with
+          | Some seq ->
+              let credit = [| ((isp + 1) mod 3, op mod 4) |] in
+              ignore
+                (Zmail.Bank.on_isp_message bank ~from_isp:isp
+                   (sealed (Zmail.Wire.Audit_reply { isp; seq; credit })))
+          | None -> ())
+      | 6 -> ignore (Zmail.Bank.resend_audit_request bank ~isp)
+      | _ ->
+          (* Sealed to a different key: unreadable, rejected, logged. *)
+          let stranger = Zmail.Bank.public_key (mk_wal_bank ~seed:(seed + 1) ~disk:None) in
+          ignore
+            (Zmail.Bank.on_isp_message bank ~from_isp:isp
+               (Zmail.Wire.seal_for_bank rng stranger
+                  (Zmail.Wire.Buy { amount = 1; nonce = 0L }))))
+    ops
+
+(* Install [image] on a fresh disk-less bank and return its image. *)
+let bank_image_restore ~seed image =
+  let b = mk_wal_bank ~seed ~disk:None in
+  (match Zmail.Journal.restore_image (fun r -> Zmail.Bank.restore_state r b) image with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "bank image restore failed: %s" e);
+  Zmail.Bank.durable_image b
+
+let bank_replay_equals_image =
+  QCheck.Test.make
+    ~name:"bank wal: replay == crash-instant image restore" ~count:40
+    QCheck.(pair small_nat (list (int_bound 63)))
+    (fun (seed, ops) ->
+      let disk = Some (Sim.Disk.create (Sim.Rng.create (seed + 7))) in
+      let a = mk_wal_bank ~seed ~disk in
+      drive_bank a ~seed ops;
+      let image_pre = Zmail.Bank.durable_image a in
+      Zmail.Bank.power_cut a;
+      (match Zmail.Bank.recover_wal a with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "recover_wal failed: %s" e);
+      String.equal (Zmail.Bank.durable_image a) (bank_image_restore ~seed image_pre))
+
+let log_records disk = List.length (Persist.Wal.scan (Sim.Disk.contents disk)).Persist.Wal.records
+
+let bank_wal_compaction () =
+  let disk = Sim.Disk.create (Sim.Rng.create 31) in
+  let bank = mk_wal_bank ~seed:30 ~disk:(Some disk) in
+  (* Buys and sells only: no audit round closes, so nothing but the
+     512-record threshold can compact the log. *)
+  drive_bank bank ~seed:30 (List.init 600 (fun i -> 8 * i + (i mod 2)));
+  checkb "enough deltas to force compaction" true (Zmail.Bank.wal_appended bank > 512);
+  checkb "log holds at most one checkpoint + 512 deltas" true (log_records disk <= 513);
+  let image_pre = Zmail.Bank.durable_image bank in
+  Zmail.Bank.power_cut bank;
+  (match Zmail.Bank.recover_wal bank with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "recover_wal failed: %s" e);
+  checkb "few records replayed after compaction" true (Zmail.Bank.wal_replayed bank < 512);
+  checkb "compacted replay equals image restore" true
+    (String.equal (Zmail.Bank.durable_image bank) (bank_image_restore ~seed:30 image_pre))
+
+(* ------------------------------------------------------------------ *)
+(* Zmail.Journal: the engine both kernels share                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A toy owner: its state is the list of ints appended so far, each
+   delta record carries one int, and the image is the whole list. *)
+type toy = {
+  disk : Sim.Disk.t;
+  j : Zmail.Journal.t;
+  mutable state : int list;
+}
+
+let toy_image t = Zmail.Journal.image (Persist.Codec.W.list Persist.Codec.W.int) t.state
+
+let toy ~group =
+  let disk = Sim.Disk.create (Sim.Rng.create 3) in
+  let t = { disk; j = Zmail.Journal.create ~group disk; state = [] } in
+  Zmail.Journal.checkpoint t.j ~image:(toy_image t);
+  t
+
+let toy_push t ~flush x =
+  t.state <- x :: t.state;
+  Zmail.Journal.append t.j ~flush
+    ~image:(fun () -> toy_image t)
+    (fun w -> Persist.Codec.W.int w x)
+
+let toy_recover ?(replay = fun t r -> t.state <- Persist.Codec.R.int r :: t.state) t =
+  Zmail.Journal.recover t.j
+    ~restore:(fun r -> t.state <- Persist.Codec.R.(list int) r)
+    ~replay:(replay t)
+
+(* Power-cut, recover, re-baseline like a kernel does, and return the
+   recovered state. *)
+let toy_crash t =
+  Zmail.Journal.power_cut t.j;
+  (match toy_recover t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "recover failed: %s" e);
+  Zmail.Journal.checkpoint t.j ~image:(toy_image t);
+  t.state
+
+let journal_group_commit () =
+  for group = 1 to 6 do
+    let t = toy ~group in
+    for x = 1 to group - 1 do
+      toy_push t ~flush:false x
+    done;
+    Alcotest.(check (list int))
+      (Printf.sprintf "group %d: a partial group is lost" group)
+      [] (toy_crash t);
+    for x = 1 to group do
+      toy_push t ~flush:false x
+    done;
+    checki (Printf.sprintf "group %d: a full group is durable" group) group
+      (List.length (toy_crash t));
+    let before = t.state in
+    for x = 1 to group - 1 do
+      toy_push t ~flush:false x
+    done;
+    toy_push t ~flush:true 99;
+    checki
+      (Printf.sprintf "group %d: a mandatory record flushes the lazy tail" group)
+      (List.length before + group)
+      (List.length (toy_crash t))
+  done
+
+let journal_compaction () =
+  let t = toy ~group:1 in
+  for x = 1 to 600 do
+    toy_push t ~flush:true x
+  done;
+  checki "every delta counted" 600 (Zmail.Journal.appended t.j);
+  checkb "log holds at most one checkpoint + 512 deltas" true
+    (log_records t.disk <= 513);
+  let live = t.state in
+  Alcotest.(check (list int)) "recovery equals the live state" live (toy_crash t);
+  checkb "only the post-compaction deltas replayed" true
+    (Zmail.Journal.replayed t.j < 512)
+
+let journal_replay_is_silent () =
+  let t = toy ~group:1 in
+  for x = 1 to 5 do
+    toy_push t ~flush:true x
+  done;
+  let log = Sim.Disk.contents t.disk in
+  let appends = Sim.Disk.appends t.disk in
+  Zmail.Journal.power_cut t.j;
+  (match
+     toy_recover t
+       ~replay:(fun t r ->
+         let x = Persist.Codec.R.int r in
+         (* An owner re-running its live path during replay. *)
+         toy_push t ~flush:true x)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "recover failed: %s" e);
+  checki "replayed every delta" 5 (Zmail.Journal.replayed t.j);
+  Alcotest.(check string) "replay wrote nothing" log (Sim.Disk.contents t.disk);
+  checki "no device appends during replay" appends (Sim.Disk.appends t.disk);
+  checki "appended counter untouched" 5 (Zmail.Journal.appended t.j)
+
+let journal_recover_errors () =
+  let expect_error what t ~replay =
+    match toy_recover t ~replay with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: recovered" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let replay t r = t.state <- Persist.Codec.R.int r :: t.state in
+  let disk = Sim.Disk.create (Sim.Rng.create 4) in
+  expect_error "empty device"
+    { disk; j = Zmail.Journal.create ~group:1 disk; state = [] }
+    ~replay;
+  let t = toy ~group:1 in
+  Sim.Disk.reset_to t.disk
+    (Persist.Wal.frame ~seq:0
+       (Persist.Codec.to_string (fun w () -> Persist.Codec.W.u8 w 1) ()));
+  expect_error "first record is not a checkpoint" t ~replay;
+  (* Flip each bit of a checkpoint image in turn, behind a frame whose
+     own CRC is intact: only the image's trailer can catch it. *)
+  let t = toy ~group:1 in
+  t.state <- [ 1; 2; 3 ];
+  let image = toy_image t in
+  for bit = 0 to (8 * String.length image) - 1 do
+    let bad = Bytes.of_string image in
+    Bytes.set bad (bit / 8)
+      (Char.chr (Char.code (Bytes.get bad (bit / 8)) lxor (1 lsl (bit mod 8))));
+    Sim.Disk.reset_to t.disk
+      (Persist.Wal.frame ~seq:0
+         (Persist.Codec.to_string
+            (fun w () ->
+              Persist.Codec.W.u8 w 0;
+              Persist.Codec.W.str w (Bytes.to_string bad))
+            ()));
+    expect_error (Printf.sprintf "image bit %d flipped" bit) t ~replay
+  done;
+  let t = toy ~group:1 in
+  toy_push t ~flush:true 7;
+  expect_error "replay raises Failure" t ~replay:(fun _ _ -> failwith "diverged")
+
 let () =
   Alcotest.run "wal"
     [
@@ -429,5 +671,16 @@ let () =
           qtest conservation_across_crash;
           Alcotest.test_case "compaction" `Quick wal_compaction;
           Alcotest.test_case "bank replay + reply cache" `Quick bank_wal_replay;
+          qtest bank_replay_equals_image;
+          Alcotest.test_case "bank compaction" `Quick bank_wal_compaction;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "group commit" `Quick journal_group_commit;
+          Alcotest.test_case "compaction" `Quick journal_compaction;
+          Alcotest.test_case "append during replay writes nothing" `Quick
+            journal_replay_is_silent;
+          Alcotest.test_case "recover errors never raise" `Quick
+            journal_recover_errors;
         ] );
     ]
