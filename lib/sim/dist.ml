@@ -58,8 +58,10 @@ let geometric rng ~p =
    interval convention [ [cdf.(i-1), cdf.(i)) -> i ] — and a
    zero-weight bucket (whose cdf value equals its predecessor's) can
    never be selected.  The search clamps to the last index, so the
-   result is in range even if rounding pushes [u] up to [total]. *)
-let first_over cdf u =
+   result is in range even if rounding pushes [u] up to [total].  The
+   annotations keep the comparison a float compare: unannotated, this
+   function is polymorphic and every probe calls [caml_greaterthan]. *)
+let first_over (cdf : float array) (u : float) =
   let rec search lo hi =
     if lo >= hi then lo
     else

@@ -73,7 +73,9 @@ let of_string s =
   | Some i ->
       let local = String.sub s 0 i in
       let domain = String.sub s (i + 1) (String.length s - i - 1) in
-      if String.contains domain '@' then Error (Printf.sprintf "multiple '@' in %S" s)
+      (* [index_opt], not [String.contains]: that raises and catches
+         [Not_found] on every well-formed address. *)
+      if Option.is_some (String.index_opt domain '@') then Error (Printf.sprintf "multiple '@' in %S" s)
       else if not (valid_part local) then Error (Printf.sprintf "invalid local part in %S" s)
       else if not (valid_part domain) then Error (Printf.sprintf "invalid domain in %S" s)
       else

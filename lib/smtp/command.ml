@@ -10,8 +10,8 @@ type t =
 
 let to_line = function
   | Helo h -> "HELO " ^ h
-  | Mail_from a -> Printf.sprintf "MAIL FROM:<%s>" (Address.to_string a)
-  | Rcpt_to a -> Printf.sprintf "RCPT TO:<%s>" (Address.to_string a)
+  | Mail_from a -> String.concat "" [ "MAIL FROM:<"; Address.to_string a; ">" ]
+  | Rcpt_to a -> String.concat "" [ "RCPT TO:<"; Address.to_string a; ">" ]
   | Data -> "DATA"
   | Rset -> "RSET"
   | Noop -> "NOOP"
@@ -28,28 +28,41 @@ let angle_path s =
   in
   Address.of_string stripped
 
+(* Verbs match case-insensitively.  [prefix] is upper case; [line] is
+   compared in place, byte by byte, rather than upper-cased and
+   sliced — this parse runs on every command of every served session. *)
+let rec matches_from line prefix i =
+  i >= String.length prefix
+  || Char.uppercase_ascii (String.unsafe_get line i) = String.unsafe_get prefix i
+     && matches_from line prefix (i + 1)
+
+let starts line prefix =
+  String.length line >= String.length prefix && matches_from line prefix 0
+
+let is_verb line verb = String.length line = String.length verb && starts line verb
+
+let rest_after line prefix =
+  String.trim
+    (String.sub line (String.length prefix) (String.length line - String.length prefix))
+
 let of_line line =
   let line = String.trim line in
-  let upper = String.uppercase_ascii line in
-  let starts prefix = String.length upper >= String.length prefix
-                      && String.sub upper 0 (String.length prefix) = prefix in
-  let rest_after prefix = String.trim (String.sub line (String.length prefix) (String.length line - String.length prefix)) in
-  if upper = "DATA" then Ok Data
-  else if upper = "RSET" then Ok Rset
-  else if upper = "NOOP" then Ok Noop
-  else if upper = "QUIT" then Ok Quit
-  else if starts "HELO " then
-    let h = rest_after "HELO " in
+  if is_verb line "DATA" then Ok Data
+  else if is_verb line "RSET" then Ok Rset
+  else if is_verb line "NOOP" then Ok Noop
+  else if is_verb line "QUIT" then Ok Quit
+  else if starts line "HELO " then
+    let h = rest_after line "HELO " in
     if h = "" then Error "HELO requires a hostname" else Ok (Helo h)
-  else if starts "EHLO " then
+  else if starts line "EHLO " then
     (* Treated as HELO: the simulator offers no extensions. *)
-    let h = rest_after "EHLO " in
+    let h = rest_after line "EHLO " in
     if h = "" then Error "EHLO requires a hostname" else Ok (Helo h)
-  else if starts "MAIL FROM:" then
-    Result.map (fun a -> Mail_from a) (angle_path (rest_after "MAIL FROM:"))
-  else if starts "RCPT TO:" then
-    Result.map (fun a -> Rcpt_to a) (angle_path (rest_after "RCPT TO:"))
-  else if starts "VRFY " then Ok (Vrfy (rest_after "VRFY "))
+  else if starts line "MAIL FROM:" then
+    Result.map (fun a -> Mail_from a) (angle_path (rest_after line "MAIL FROM:"))
+  else if starts line "RCPT TO:" then
+    Result.map (fun a -> Rcpt_to a) (angle_path (rest_after line "RCPT TO:"))
+  else if starts line "VRFY " then Ok (Vrfy (rest_after line "VRFY "))
   else Error (Printf.sprintf "unrecognized command: %S" line)
 
 let equal a b =

@@ -29,6 +29,42 @@ let headers t = t.fields
 
 let add_header t name value = { t with fields = t.fields @ [ (name, value) ] }
 
+(* Decimal integers, rendered without [string_of_int]: that goes
+   through the C [caml_format_int] (~135 ns a call) and several values
+   are stamped on every message.  Digits are peeled off the
+   non-positive magnitude [m], so [min_int] needs no special case
+   ([m / p] and [m mod p] stay non-positive).  Byte-identical to
+   [string_of_int] for every [int]; a qcheck property in test_smtp
+   pins that. *)
+let digit_of m = Char.unsafe_chr (48 - m)
+
+(* [p] is the power of ten of [m]'s leading digit. *)
+let rec leading_power m p = if m / p <= -10 then leading_power m (p * 10) else p
+
+let rec add_magnitude b m p =
+  Buffer.add_char b (digit_of (m / p));
+  if p > 1 then add_magnitude b (m mod p) (p / 10)
+
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  let m = if n > 0 then -n else n in
+  add_magnitude b m (leading_power m 1)
+
+let render_int n =
+  let b = Buffer.create 20 in
+  add_int b n;
+  Buffer.contents b
+
+(* The stamp values (payment amounts, audit epochs) are almost always
+   small, so their renderings are built once.  The table is never
+   written after initialisation, which keeps it safe to share between
+   the domains [Parworld] steps kernels on. *)
+let small_ints = Array.init 1024 render_int
+
+let int_to_string n =
+  if n >= 0 && n < Array.length small_ints then Array.unsafe_get small_ints n
+  else render_int n
+
 (* Simulated-time date rendering: day counter plus time of day, which
    keeps headers readable without a real calendar.  Rendered by hand —
    byte-identical to [Printf.sprintf "Day %d %02d:%02d:%02d +0000"] —
@@ -36,7 +72,7 @@ let add_header t name value = { t with fields = t.fields @ [ (name, value) ] }
    format interpretation dominated its cost. *)
 let add_02d b n =
   if n < 10 then Buffer.add_char b '0';
-  Buffer.add_string b (string_of_int n)
+  add_int b n
 
 let render_date seconds =
   let day = int_of_float (seconds /. 86400.) in
@@ -46,7 +82,7 @@ let render_date seconds =
   let s = int_of_float (rem -. (float_of_int h *. 3600.) -. (float_of_int m *. 60.)) in
   let b = Buffer.create 24 in
   Buffer.add_string b "Day ";
-  Buffer.add_string b (string_of_int day);
+  add_int b day;
   Buffer.add_char b ' ';
   add_02d b h;
   Buffer.add_char b ':';
@@ -88,13 +124,13 @@ let mark_payment ?epoch t ~epennies =
   let tl =
     match epoch with
     | None -> []
-    | Some seq -> [ (zmail_epoch_header, string_of_int seq) ]
+    | Some seq -> [ (zmail_epoch_header, int_to_string seq) ]
   in
-  { t with fields = t.fields @ (zmail_payment_header, string_of_int epennies) :: tl }
+  { t with fields = t.fields @ (zmail_payment_header, int_to_string epennies) :: tl }
 
 let payment t = Option.bind (header t zmail_payment_header) int_of_string_opt
 
-let mark_epoch t ~seq = add_header t zmail_epoch_header (string_of_int seq)
+let mark_epoch t ~seq = add_header t zmail_epoch_header (int_to_string seq)
 
 let epoch t = Option.bind (header t zmail_epoch_header) int_of_string_opt
 
@@ -121,7 +157,7 @@ let of_lines lines =
             let value =
               String.trim (String.sub line (i + 1) (String.length line - i - 1))
             in
-            if name = "" || String.contains name ' ' then
+            if name = "" || Option.is_some (String.index_opt name ' ') then
               Error (Printf.sprintf "malformed header name in %S" line)
             else parse_fields ((name, value) :: acc) rest)
   in

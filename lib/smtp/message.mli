@@ -42,6 +42,18 @@ val add_header : t -> string -> string -> t
 val size_bytes : t -> int
 (** Rendered size. *)
 
+(** {2 Integer rendering}
+
+    Byte-identical to [string_of_int], without its C formatter: the
+    per-message path stamps several integers on every message. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append [n] in decimal; allocates nothing beyond buffer growth. *)
+
+val int_to_string : int -> string
+(** [n] in decimal.  Values in [0..1023] come from a prebuilt,
+    read-only table, so rendering them allocates nothing. *)
+
 (** The Zmail extension headers (§1.3: Zmail changes no SMTP verb; all
     protocol information rides in the message header block). *)
 

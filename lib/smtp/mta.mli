@@ -220,6 +220,11 @@ module Internal : sig
       [Printf.sprintf "from %s by %s; t=%.3f" from_domain by now] for
       the simulator's non-negative times.  Exposed only so the test
       suite can pin that equivalence; not a stable API. *)
+
+  val message_id : int -> string -> string
+  (** [message_id id hostname] is the [Message-Id] value [submit]
+      stamps; byte-identical to ["<" ^ string_of_int id ^ "@" ^ hostname
+      ^ ">"].  Exposed for the same test. *)
 end
 
 (**/**)

@@ -51,11 +51,16 @@ val closed : t -> bool
     {!deliver_direct} computes its outcome structurally.  The qcheck
     equivalence property lives in test_smtp. *)
 
+val header_round_trips : string * string -> bool
+(** [true] when one [(name, value)] field survives rendering and
+    re-parsing: the name is non-empty and free of [' ']/[':'], the value
+    is newline-free and [String.trim]-fixed.  One allocation-free scan,
+    no exceptions. *)
+
 val message_round_trips : Message.t -> bool
 (** [true] when re-parsing the message's rendered lines yields a
-    structurally equal message: every header name is non-empty and free
-    of [' ']/[':'], every value is newline-free and [String.trim]-fixed.
-    Bodies always round-trip. *)
+    structurally equal message: {!header_round_trips} holds for every
+    field.  Bodies always round-trip. *)
 
 val deliver_direct :
   policy:policy ->

@@ -3,8 +3,12 @@
    These are the original straightforward codecs the production modules
    were rewritten from: SipHash-2-4 over closure-captured Int64 state,
    XTEA-CBC over Int64 blocks with the key schedule recomputed every
-   round, the Printf/split_on_char text codec of [Zmail.Wire], and the
-   dense O(n^2) §4.4 pair scan the sparse [Audit.Verify] replaced.  They
+   round, the Printf/split_on_char text codec of [Zmail.Wire], the
+   dense O(n^2) §4.4 pair scan the sparse [Audit.Verify] replaced, the
+   SMTP per-message idioms ([String.contains]/[String.trim] header
+   check, [string_of_int] stamps), CRC-32 over a closure-captured
+   [Int32] accumulator, and the binary-search samplers' linear-scan
+   specification.  They
    are slow and allocate freely, which is the point: each is short
    enough to check against its specification by eye, and the
    differential laws in the test suites hold the fast versions to them
@@ -275,4 +279,124 @@ module Audit = struct
       done
     done;
     List.rev !violations
+end
+
+(* The per-message SMTP idioms the hand-written [Smtp] fast paths
+   replaced: the header round-trip condition as [String.contains] and
+   [String.trim] state it, and the [string_of_int]-based stamps. *)
+module Smtp_seed = struct
+  let header_round_trips (n, v) =
+    n <> ""
+    && (not (String.contains n ' '))
+    && (not (String.contains n ':'))
+    && (not (String.contains v '\n'))
+    && String.equal (String.trim v) v
+
+  let message_id id hostname = "<" ^ string_of_int id ^ "@" ^ hostname ^ ">"
+
+  let command_to_line = function
+    | Smtp.Command.Mail_from a -> Printf.sprintf "MAIL FROM:<%s>" (Smtp.Address.to_string a)
+    | Smtp.Command.Rcpt_to a -> Printf.sprintf "RCPT TO:<%s>" (Smtp.Address.to_string a)
+    | c -> Smtp.Command.to_line c
+
+  (* The verb dispatch of [Command.of_line]: upper-case the whole line,
+     then compare [String.sub] prefixes. *)
+  let command_of_line line =
+    let line = String.trim line in
+    let upper = String.uppercase_ascii line in
+    let starts prefix =
+      String.length upper >= String.length prefix
+      && String.sub upper 0 (String.length prefix) = prefix
+    in
+    let rest_after prefix =
+      String.trim
+        (String.sub line (String.length prefix) (String.length line - String.length prefix))
+    in
+    let angle_path s =
+      let s = String.trim s in
+      let stripped =
+        if String.length s >= 2 && s.[0] = '<' && s.[String.length s - 1] = '>' then
+          String.sub s 1 (String.length s - 2)
+        else s
+      in
+      Smtp.Address.of_string stripped
+    in
+    let open Smtp.Command in
+    if upper = "DATA" then Ok Data
+    else if upper = "RSET" then Ok Rset
+    else if upper = "NOOP" then Ok Noop
+    else if upper = "QUIT" then Ok Quit
+    else if starts "HELO " then
+      let h = rest_after "HELO " in
+      if h = "" then Error "HELO requires a hostname" else Ok (Helo h)
+    else if starts "EHLO " then
+      let h = rest_after "EHLO " in
+      if h = "" then Error "EHLO requires a hostname" else Ok (Helo h)
+    else if starts "MAIL FROM:" then
+      Result.map (fun a -> Mail_from a) (angle_path (rest_after "MAIL FROM:"))
+    else if starts "RCPT TO:" then
+      Result.map (fun a -> Rcpt_to a) (angle_path (rest_after "RCPT TO:"))
+    else if starts "VRFY " then Ok (Vrfy (rest_after "VRFY "))
+    else Error (Printf.sprintf "unrecognized command: %S" line)
+
+  (* The field list [Message.mark_payment ?epoch] appends. *)
+  let payment_fields ?epoch ~epennies () =
+    ("X-Zmail-Payment", string_of_int epennies)
+    :: (match epoch with None -> [] | Some seq -> [ ("X-Zmail-Epoch", string_of_int seq) ])
+end
+
+(* CRC-32 (IEEE 802.3, reflected 0xEDB88320), byte at a time with an
+   [Int32] accumulator threaded through [String.iter]. *)
+module Crc32 = struct
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+
+  let string ?(crc = 0l) s =
+    let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+    String.iter
+      (fun ch ->
+        let i =
+          Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
+        in
+        c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
+      s;
+    Int32.logxor !c 0xFFFFFFFFl
+end
+
+(* The table samplers by definition: the first index whose cumulative
+   weight strictly exceeds [u], found by a linear scan and clamped to
+   the last index, over cdfs accumulated exactly as [Sim.Dist] does. *)
+module Dist = struct
+  let first_over cdf u =
+    let last = Array.length cdf - 1 in
+    let rec scan i = if i >= last || cdf.(i) > u then i else scan (i + 1) in
+    scan 0
+
+  let zipf ~n ~s =
+    let cdf = Array.make n 0. in
+    let total = ref 0. in
+    for k = 1 to n do
+      total := !total +. (1. /. (float_of_int k ** s));
+      cdf.(k - 1) <- !total
+    done;
+    let total = !total in
+    fun rng -> first_over cdf (Sim.Rng.unit_float rng *. total) + 1
+
+  let categorical ~weights =
+    let n = Array.length weights in
+    let cdf = Array.make n 0. in
+    let total = ref 0. in
+    for i = 0 to n - 1 do
+      total := !total +. weights.(i);
+      cdf.(i) <- !total
+    done;
+    let total = !total in
+    fun rng -> first_over cdf (Sim.Rng.unit_float rng *. total)
 end

@@ -18,6 +18,65 @@ module Cycle = Audit.Cycle
 (* Sparse rows: canonical form and codec round-trip                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [Row] keeps its cells in an int-specialised [Hashtbl.Make]; the
+   generic [(int, int) Hashtbl.t] it replaced is the model.  Same
+   operations, same zero-removal rule: the canonical pairs, cardinal,
+   sum and even the (unspecified) [iter] order must agree, since both
+   tables hash with [Hashtbl.hash] and so share their bucket layout. *)
+type row_op = Add of int * int | Set of int * int | Clear | Copy
+
+let row_op_gen n =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun p d -> Add (p, d)) (int_bound (n - 1)) (int_range (-3) 3));
+        (3, map2 (fun p v -> Set (p, v)) (int_bound (n - 1)) (int_range (-2) 2));
+        (1, return Clear);
+        (1, return Copy);
+      ])
+
+let print_row_op = function
+  | Add (p, d) -> Printf.sprintf "add %d %d" p d
+  | Set (p, v) -> Printf.sprintf "set %d %d" p v
+  | Clear -> "clear"
+  | Copy -> "copy"
+
+let row_matches_generic_table =
+  QCheck.Test.make ~name:"row: matches a generic Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map print_row_op ops)))
+       QCheck.Gen.(int_range 1 300 >>= fun n -> pair (return n) (list_size (int_bound 400) (row_op_gen n))))
+    (fun (n, ops) ->
+      let row = ref (Row.create ~n) in
+      let model : (int, int) Hashtbl.t ref = ref (Hashtbl.create 8) in
+      let store peer v = if v = 0 then Hashtbl.remove !model peer else Hashtbl.replace !model peer v in
+      List.iter
+        (function
+          | Add (p, d) ->
+              Row.add !row p d;
+              if d <> 0 then store p (Option.value ~default:0 (Hashtbl.find_opt !model p) + d)
+          | Set (p, v) ->
+              Row.set !row p v;
+              store p v
+          | Clear ->
+              Row.clear !row;
+              Hashtbl.reset !model
+          | Copy ->
+              row := Row.copy !row;
+              model := Hashtbl.copy !model)
+        ops;
+      let visit iter tbl =
+        let acc = ref [] in
+        iter (fun p v -> acc := (p, v) :: !acc) tbl;
+        List.rev !acc
+      in
+      let model_pairs = List.sort compare (visit Hashtbl.iter !model) in
+      Array.to_list (Row.pairs !row) = model_pairs
+      && Row.cardinal !row = Hashtbl.length !model
+      && Row.sum !row = Hashtbl.fold (fun _ v acc -> acc + v) !model 0
+      && visit Row.iter !row = visit Hashtbl.iter !model)
+
 (* Random add/set/clear op sequences over two rows driven from the same
    ops in different orders must agree cell-wise, export the same
    canonical pairs, and encode to identical bytes. *)
@@ -364,6 +423,7 @@ let () =
       ( "sparse",
         [
           qtest row_canonical;
+          qtest row_matches_generic_table;
           qtest credit_vs_dense_model;
           qtest sparse_matches_dense_verify;
         ] );

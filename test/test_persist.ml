@@ -81,6 +81,27 @@ let codec_roundtrips =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* CRC-32: the native-int loop against the Int32 original              *)
+(* ------------------------------------------------------------------ *)
+
+let crc32 =
+  let crc_arg = QCheck.(option (map Int32.of_int int)) in
+  [
+    ( "check vector 123456789",
+      `Quick,
+      fun () ->
+        Alcotest.(check int32) "crc32" 0xCBF43926l (Codec.Crc32.string "123456789");
+        Alcotest.(check int32) "empty" 0l (Codec.Crc32.string "") );
+    qtest "matches the Int32 reference, chained via ?crc" 500
+      QCheck.(triple crc_arg string string)
+      (fun (crc, a, b) ->
+        let fast = Codec.Crc32.string ?crc a in
+        fast = Reference.Crc32.string ?crc a
+        && Codec.Crc32.string ~crc:fast b = Reference.Crc32.string ~crc:fast b
+        && Codec.Crc32.string ~crc:fast b = Codec.Crc32.string ?crc (a ^ b));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Codec: malformed input is an error, never a wrong value             *)
 (* ------------------------------------------------------------------ *)
 
@@ -625,6 +646,7 @@ let () =
     [
       ("codec-roundtrip", codec_roundtrips);
       ("codec-corruption", codec_corruption);
+      ("crc32", crc32);
       ( "components",
         [
           ("rng stream", `Quick, rng_roundtrip);

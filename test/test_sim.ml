@@ -279,6 +279,29 @@ let test_dist_first_over_prop =
       && (cdf.(i) > u || cdf.(n - 1) <= u)
       && (i = 0 || cdf.(i - 1) <= u))
 
+(* The binary-search samplers draw exactly what the linear-scan
+   definition ([Reference.Dist]) draws from the same RNG stream. *)
+let test_dist_samplers_match_linear_scan =
+  QCheck.Test.make ~name:"zipf/categorical equal a linear scan on one stream" ~count:200
+    QCheck.(
+      triple small_int (int_range 1 300)
+        (pair (float_range 0.5 2.5) (array_of_size Gen.(1 -- 40) (oneofl [ 0.; 0.5; 1.; 3. ]))))
+    (fun (seed, n, (s, weights)) ->
+      let weights =
+        if Array.for_all (fun w -> w = 0.) weights then Array.append weights [| 1. |]
+        else weights
+      in
+      let fast_zipf = Sim.Dist.zipf ~n ~s and slow_zipf = Reference.Dist.zipf ~n ~s in
+      let fast_cat = Sim.Dist.categorical ~weights
+      and slow_cat = Reference.Dist.categorical ~weights in
+      let r1 = Sim.Rng.create seed and r2 = Sim.Rng.create seed in
+      let ok = ref true in
+      for _ = 1 to 100 do
+        if fast_zipf r1 <> slow_zipf r2 then ok := false;
+        if fast_cat r1 <> slow_cat r2 then ok := false
+      done;
+      !ok)
+
 (* The samplers built on first_over stay in range even at boundary
    draws (the rule above guarantees it; this pins the composition). *)
 let test_dist_samplers_in_range =
@@ -855,7 +878,12 @@ let () =
           Alcotest.test_case "first_over boundaries" `Quick
             test_dist_first_over_boundaries;
         ]
-        @ qcheck [ test_dist_first_over_prop; test_dist_samplers_in_range ] );
+        @ qcheck
+            [
+              test_dist_first_over_prop;
+              test_dist_samplers_in_range;
+              test_dist_samplers_match_linear_scan;
+            ] );
       ( "heap",
         Alcotest.test_case "ordering" `Quick test_heap_ordering
         :: Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties

@@ -835,6 +835,95 @@ let test_deliver_direct_matches_dialogue =
           reply.Smtp.Reply.code = 552
       | _ -> false)
 
+(* The hand-written per-message paths against the idioms they replaced
+   ([Reference.Smtp_seed]).  The header generator is biased toward the
+   bytes the definition turns on: [' '] and [':'] in names, ['\n'],
+   the five bytes [String.trim] strips and ['\011'] (which it keeps),
+   and empty names and values. *)
+let header_part =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return "");
+        ( 8,
+          string_size ~gen:(oneofl [ ' '; ':'; '\n'; '\012'; '\r'; '\t'; '\011'; 'a'; 'X'; '-' ])
+            (int_range 1 6) );
+        (2, map (fun s -> "X-" ^ s) (string_size ~gen:(oneofl [ 'a'; 'b'; ' ' ]) (int_bound 4)));
+      ])
+
+let test_header_check_matches_seed =
+  QCheck.Test.make ~name:"header_round_trips matches String.contains/trim" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair string string) QCheck.Gen.(pair header_part header_part))
+    (fun field ->
+      Smtp.Server.header_round_trips field = Reference.Smtp_seed.header_round_trips field)
+
+let int_cases =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-2000) 2000);
+        (2, int);
+        ( 2,
+          map
+            (fun (k, d) -> (int_of_float (10. ** float_of_int k)) + d)
+            (pair (int_bound 18) (int_range (-1) 1)) );
+        (1, map (fun x -> -x) (map (fun k -> int_of_float (10. ** float_of_int k)) (int_bound 18)));
+        (1, oneofl [ 0; -1; min_int; max_int; min_int + 1; max_int - 1; 1023; 1024 ]);
+      ])
+
+let test_int_renderer_matches_string_of_int =
+  QCheck.Test.make ~name:"integer renderer matches string_of_int" ~count:2000
+    (QCheck.make ~print:string_of_int int_cases)
+    (fun n ->
+      let b = Buffer.create 4 in
+      Buffer.add_string b "x";
+      Smtp.Message.add_int b n;
+      Smtp.Message.int_to_string n = string_of_int n
+      && Buffer.contents b = "x" ^ string_of_int n)
+
+let test_stamps_match_seed =
+  QCheck.Test.make ~name:"Message-Id, payment and epoch stamps match the seed" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(triple string_of_int string_of_int (option string_of_int))
+       QCheck.Gen.(triple int_cases int_cases (opt int_cases)))
+    (fun (id, epennies, epoch) ->
+      let m =
+        Smtp.Message.make ~from:(addr "a@a.com") ~to_:[ addr "b@b.com" ] ~date:1.
+          ~body:"" ()
+      in
+      let stamped = Smtp.Message.mark_payment ?epoch m ~epennies in
+      let seq = Option.value epoch ~default:id in
+      Smtp.Mta.Internal.message_id id "mx.b.com" = Reference.Smtp_seed.message_id id "mx.b.com"
+      && Smtp.Message.headers stamped
+         = Smtp.Message.headers m @ Reference.Smtp_seed.payment_fields ?epoch ~epennies ()
+      && Smtp.Message.headers (Smtp.Message.mark_epoch m ~seq)
+         = Smtp.Message.headers m @ [ ("X-Zmail-Epoch", string_of_int seq) ])
+
+(* Command lines in every case mix, with stray whitespace, against the
+   upper-case-and-slice parser; printing against [Printf]. *)
+let command_line =
+  QCheck.Gen.(
+    let verb =
+      oneofl
+        [ "DATA"; "data"; "DaTa"; "RSET"; "noop"; "Quit"; "HELO "; "helo "; "EHLO ";
+          "MAIL FROM:"; "mail from:"; "Mail From:"; "RCPT TO:"; "rcpt to:"; "VRFY ";
+          "vrfy "; "DAT"; "QUITS"; "MAIL"; "" ]
+    in
+    let arg =
+      oneofl [ ""; "x"; "<alice@a.com>"; " <Bob@B.COM> "; "carol@c.org"; "<>"; "a@b@c"; " mx.test" ]
+    in
+    let pad = oneofl [ ""; " "; "\t"; "  \r" ] in
+    map (fun (((p, v), a), q) -> p ^ v ^ a ^ q) (pair (pair (pair pad verb) arg) pad))
+
+let test_command_parse_matches_seed =
+  QCheck.Test.make ~name:"Command.of_line/to_line match the seed" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") command_line)
+    (fun line ->
+      match (Smtp.Command.of_line line, Reference.Smtp_seed.command_of_line line) with
+      | Ok c, Ok c' -> Smtp.Command.equal c c' && Smtp.Command.to_line c = Reference.Smtp_seed.command_to_line c
+      | Error e, Error e' -> String.equal e e'
+      | _ -> false)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -887,6 +976,10 @@ let () =
             test_received_stamp_matches_sprintf;
             test_date_header_matches_sprintf;
             test_deliver_direct_matches_dialogue;
+            test_header_check_matches_seed;
+            test_int_renderer_matches_string_of_int;
+            test_stamps_match_seed;
+            test_command_parse_matches_seed;
           ] );
       ("dns", [ Alcotest.test_case "registry" `Quick test_dns ]);
       ("mailbox", [ Alcotest.test_case "store" `Quick test_mailbox ]);
